@@ -13,7 +13,7 @@ import json
 from dataclasses import asdict, dataclass
 from typing import Optional
 
-from .synth import SynthOptions, synth, synth_mul3, synth_prod_n, synth_sum_n
+from .synth import SynthOptions, synth
 from .truthtables import builtin
 
 __all__ = ["REFERENCE", "CERTIFIED", "BenchRow", "run_benchmarks", "render_table", "rows_to_json"]
@@ -73,16 +73,6 @@ class BenchRow:
     reference_match: str  # "yes" | "no" | "not-certified" | "no-reference"
 
 
-def _synthesize(name, options):
-    if name.startswith("sum"):
-        return synth_sum_n(int(name[3:]), cost_model=options.cost_model)
-    if name.startswith("prod"):
-        return synth_prod_n(int(name[4:]), cost_model=options.cost_model)
-    if name == "mul3":
-        return synth_mul3(cost_model=options.cost_model)
-    return synth(builtin(name), options)
-
-
 def _match(name, rep, ref):
     if ref is None:
         return "no-reference"
@@ -100,7 +90,7 @@ def run_benchmarks(options: Optional[SynthOptions] = None) -> list[BenchRow]:
     options = options or SynthOptions()
     rows = []
     for name in _ROW_ORDER:
-        rep = _synthesize(name, options)
+        rep = synth(builtin(name), options)
         ref = REFERENCE.get(name)
         rows.append(
             BenchRow(

@@ -23,7 +23,6 @@ __all__ = [
     "ProjFamily",
     "proj",
     "ShiftOp",
-    "shift_apply",
     "BUFFER",
     "SINGLE_SHIFT",
     "DUAL_SHIFT",
@@ -204,11 +203,6 @@ _SHIFT_NAMES = {
     (2, 1): "SelfSingleShift",
     (2, 2): "SelfDualShift",
 }
-
-
-def shift_apply(s: ShiftOp, x: int) -> Trit:
-    """Function form of ShiftOp.apply."""
-    return s.apply(x)
 
 
 _SHIFTS_BY_NAME = {s.name: s for s in ALL_SHIFTS}

@@ -10,7 +10,7 @@ exceptions and are flagged as non-reversible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Sequence
 
 from .core import (
@@ -276,19 +276,37 @@ _GATE_KINDS = {
 }
 
 
+_NAME_LISTS = ("controls", "inputs", "shifts")
+
+
+def _is_names(v):
+    return isinstance(v, list) and all(isinstance(n, str) for n in v)
+
+
 def gate_from_dict(d):
+    """Inverse of Gate.to_dict; raises ValueError naming the kind and the
+    field at fault."""
+    if not isinstance(d, dict):
+        raise ValueError(f"a gate must be an object, got {d!r}")
     kind = d.get("kind")
-    if kind not in _GATE_KINDS:
+    if not isinstance(kind, str) or kind not in _GATE_KINDS:
         raise ValueError(f"unknown gate kind {kind!r}")
-    d = dict(d)
-    d.pop("kind")
-    if "shifts" in d:
-        d["shifts"] = tuple(shift_by_name(n) for n in d["shifts"])
-    if "controls" in d:
-        d["controls"] = tuple(d["controls"])
-    if "inputs" in d:
-        d["inputs"] = tuple(d["inputs"])
-    return _GATE_KINDS[kind](**d)
+    want = [f.name for f in fields(_GATE_KINDS[kind])]
+    got = sorted(set(d) - {"kind"})
+    if got != sorted(want):
+        raise ValueError(f"{kind} gate needs fields {', '.join(want)}, got {', '.join(got) or 'none'}")
+    for name in want:
+        listed = name in _NAME_LISTS
+        if not (_is_names(d[name]) if listed else isinstance(d[name], str)):
+            shape = "a list of names" if listed else "a wire name"
+            raise ValueError(f"{kind} gate field {name!r} must be {shape}, got {d[name]!r}")
+    args = {name: tuple(d[name]) if name in _NAME_LISTS else d[name] for name in want}
+    try:
+        if "shifts" in args:
+            args["shifts"] = tuple(shift_by_name(n) for n in args["shifts"])
+        return _GATE_KINDS[kind](**args)
+    except ValueError as exc:
+        raise ValueError(f"{kind} gate: {exc}") from None
 
 
 @dataclass
@@ -330,7 +348,7 @@ class Netlist:
     def append(self, gate):
         missing = [w for w in gate.wires() if w not in set(self.all_wires())]
         if missing:
-            raise ValueError(f"gate uses unknown wires: {missing}")
+            raise ValueError(f"{gate.kind} gate uses unknown wires: {missing}")
         self.gates.append(gate)
 
     @property
@@ -352,14 +370,30 @@ class Netlist:
 
     @classmethod
     def from_json(cls, text):
+        """Inverse of to_json; raises ValueError naming the first problem."""
         doc = json.loads(text)
-        nl = cls(
-            input_names=tuple(doc["inputs"]),
-            ancilla_init={w: Trit(v) for w, v in doc["ancillas"].items()},
-            outputs=dict(doc["outputs"]),
-        )
-        for gd in doc["gates"]:
-            nl.append(gate_from_dict(gd))
+        keys = ("inputs", "ancillas", "gates", "outputs")
+        if not isinstance(doc, dict) or any(k not in doc for k in keys):
+            raise ValueError("a netlist must be a JSON object with keys " + ", ".join(keys))
+        if not _is_names(doc["inputs"]):
+            raise ValueError("netlist 'inputs' must be a list of names")
+        for key, shape in (("ancillas", dict), ("gates", list), ("outputs", dict)):
+            if not isinstance(doc[key], shape):
+                raise ValueError(f"netlist {key!r} must be a JSON {'object' if shape is dict else 'list'}")
+        ancillas, gates, outputs = doc["ancillas"], doc["gates"], doc["outputs"]
+        try:
+            init = {w: Trit(v) for w, v in ancillas.items()}
+        except ValueError as exc:
+            raise ValueError(f"netlist 'ancillas': {exc}") from None
+        nl = cls(input_names=tuple(doc["inputs"]), ancilla_init=init, outputs=dict(outputs))
+        for i, gd in enumerate(gates):
+            try:
+                nl.append(gate_from_dict(gd))
+            except ValueError as exc:
+                raise ValueError(f"gate {i}: {exc}") from None
+        for name, wire in outputs.items():
+            if not isinstance(wire, str) or wire not in nl.all_wires():
+                raise ValueError(f"output {name!r} names unknown wire {wire!r}")
         return nl
 
 

@@ -1,9 +1,12 @@
 """Netlist synthesis from truth tables.
 
-Two pipelines.  Affine columns (f = c + sum of coefficient*input mod 3)
+Three routes.  Affine columns (f = c + sum of coefficient*input mod 3)
 become Feynman chains accumulating onto an input wire where possible,
-onto a constant-initialized ancilla otherwise.  Everything else goes
-through minterm extraction, rewrite-rule reduction, and a direct
+onto a constant-initialized ancilla otherwise.  Product columns
+(f = product of three or more inputs mod 3) become a balanced tree of
+two-input product nodes; each node is the reduced expression of
+x*y mod 3 and is emitted like any other expression.  Everything else
+goes through minterm extraction, rewrite-rule reduction, and a direct
 factor-by-factor mapping onto controlled shift gates:
 
   unprimed projection or fused group  one MultiGTG onto a zero ancilla
@@ -22,7 +25,7 @@ one output ancilla.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .core import (
@@ -53,9 +56,9 @@ from .truthtables import (
     MultiOutputFunction,
     TernaryFunction,
     all_inputs,
-    builtin,
     default_var_names,
     linear_detect,
+    monomial_detect,
 )
 
 __all__ = [
@@ -63,9 +66,6 @@ __all__ = [
     "SynthReport",
     "synth",
     "max_ancilla",
-    "synth_sum_n",
-    "synth_prod_n",
-    "synth_mul3",
 ]
 
 
@@ -211,6 +211,40 @@ def _emit_expr_shared(nl, expr, var_names):
     return acc
 
 
+def _emit_expr(nl, expr, var_names, combine):
+    """Emit expr under the combine mode; returns (wire, shared), shared
+    saying whether the single-accumulator form was safe and used."""
+    wire = _emit_expr_shared(nl, expr, var_names) if combine == "shared" else None
+    if wire is None:
+        return _emit_expr_max(nl, expr, var_names), False
+    return wire, True
+
+
+# x*y mod 3 over two wires, in the form simplify reduces the prod2
+# minterms to: 1 where both are 1 or both are 2, 2 where they are mixed.
+_PRODUCT_NODE = Expr(
+    (
+        Term((Fused(ProjFamily.L, 1, (0, 1)),)),
+        Term((Fused(ProjFamily.L, 2, (0, 1)),)),
+        Term((Pair(ProjFamily.J, 0, 1),)),
+    ),
+    2,
+)
+
+
+def _emit_product_tree(nl, wires, combine):
+    """Product of the wires mod 3 as a balanced tree of product nodes;
+    an odd wire out moves up a level unchanged."""
+    level = list(wires)
+    while len(level) > 1:
+        pairs = zip(level[::2], level[1::2])
+        nxt = [_emit_expr(nl, _PRODUCT_NODE, pair, combine)[0] for pair in pairs]
+        if len(level) % 2:
+            nxt.append(level[-1])
+        level = nxt
+    return level[0]
+
+
 def _emit_linear(nl, c, lams, claimed, later_reads):
     """Feynman chain for an affine column.
 
@@ -262,11 +296,11 @@ def synth(fn: Union[MultiOutputFunction, TernaryFunction], options: Optional[Syn
     nl = Netlist(input_names=var_names)
 
     linear_outs = []
-    generic_outs = []
+    other_outs = []
     for out in fn.outputs:
         hit = linear_detect(out)
         if hit is None:
-            generic_outs.append(out)
+            other_outs.append(out)
         else:
             linear_outs.append((out, hit))
 
@@ -275,21 +309,21 @@ def synth(fn: Union[MultiOutputFunction, TernaryFunction], options: Optional[Syn
     traces: dict[str, RewriteTrace] = {}
     out_wires: dict[str, str] = {}
 
-    # Generic outputs first: their gates only read the input wires,
-    # while affine accumulation may overwrite them.
-    for out in generic_outs:
+    # Non-affine outputs first: their gates only read the input wires,
+    # while affine accumulation may overwrite them.  A two-input product
+    # stays on the generic path, which emits exactly one product node.
+    for out in other_outs:
+        support = monomial_detect(out)
+        if support is not None and len(support) >= 3:
+            leaves = [var_names[i] for i in support]
+            out_wires[out.name] = _emit_product_tree(nl, leaves, opts.combine)
+            paths[out.name] = "blocks"
+            continue
         reduced, trace = simplify(minterm_extract(out))
         expressions[out.name] = reduced
         traces[out.name] = trace
-        wire = None
-        if opts.combine == "shared":
-            wire = _emit_expr_shared(nl, reduced, var_names)
-        if wire is None:
-            paths[out.name] = "sum-of-products"
-            wire = _emit_expr_max(nl, reduced, var_names)
-        else:
-            paths[out.name] = "sum-of-products/shared"
-        out_wires[out.name] = wire
+        out_wires[out.name], shared = _emit_expr(nl, reduced, var_names, opts.combine)
+        paths[out.name] = "sum-of-products/shared" if shared else "sum-of-products"
 
     claimed: set[int] = set()
     for k, (out, (c, lams)) in enumerate(linear_outs):
@@ -329,127 +363,4 @@ def synth(fn: Union[MultiOutputFunction, TernaryFunction], options: Optional[Syn
         expressions=expressions,
         traces=traces,
         verified=verified,
-    )
-
-
-# Hand-shaped builders for the scaling families.  These skip table
-# enumeration entirely, so they stay cheap at widths where 3**n rows
-# would not.
-
-def _finish_report(name, nl, max_anc, paths, expressions, traces, cost_model, verify, reference):
-    verified = False
-    if verify:
-        res = exhaustive_check(nl, reference())
-        if not res.ok:
-            raise VerificationError(f"netlist for {name!r} failed: {res.message()}", res.counterexample)
-        verified = True
-    model = COST_MODELS[cost_model]
-    return SynthReport(
-        name=name,
-        netlist=nl,
-        max_ancilla=max_anc,
-        reduced_ancilla=nl.ancilla_count,
-        cost=model.netlist_cost(nl),
-        cost_honest=HONEST_COST.netlist_cost(nl),
-        depth=netlist_depth(nl),
-        cost_model=model.name,
-        paths=paths,
-        expressions=expressions,
-        traces=traces,
-        verified=verified,
-    )
-
-
-def synth_sum_n(n: int, *, verify: bool = True, cost_model: str = "paper") -> SynthReport:
-    """Mod-3 sum of n inputs: a Feynman chain onto the first wire."""
-    if n < 2:
-        raise ValueError(f"need at least 2 inputs, got {n}")
-    names = default_var_names(n)
-    nl = Netlist(input_names=names)
-    for i in range(1, n):
-        nl.append(Feynman(names[i], names[0]))
-    out = f"sum{n}"
-    nl.outputs[out] = names[0]
-    # 2 of every 3 sums are nonzero, each minterm carrying n factors.
-    max_anc = 2 * 3 ** (n - 1) * n
-    return _finish_report(
-        out, nl, max_anc, {out: "linear"}, {}, {}, cost_model, verify,
-        lambda: TernaryFunction.from_callable(out, n, lambda *xs: sum(xs) % 3),
-    )
-
-
-def _emit_min2_block(nl, u, v):
-    """min(u, v) onto a fresh wire: fused level-1 hit, crossed pair,
-    fused level-2 hit, collected by MAX."""
-    t = nl.add_ancilla("anc", 0)
-    nl.append(MultiGTG((u, v), t, _standard_profile(ProjFamily.L, 1)))
-    p = nl.add_ancilla("anc", 0)
-    nl.append(C2NOT(u, v, p))
-    j = nl.add_ancilla("anc", 0)
-    nl.append(MultiGTG((u, v), j, _standard_profile(ProjFamily.J, 2)))
-    nl.append(MaxGate((p,), t))
-    nl.append(MaxGate((j,), t))
-    return t
-
-
-def _emit_gf3mul_block(nl, u, v):
-    """(u * v) mod 3 onto a fresh wire."""
-    t = nl.add_ancilla("anc", 0)
-    nl.append(MultiGTG((u, v), t, _standard_profile(ProjFamily.L, 1)))
-    f2 = nl.add_ancilla("anc", 0)
-    nl.append(MultiGTG((u, v), f2, _standard_profile(ProjFamily.L, 2)))
-    p = nl.add_ancilla("anc", 0)
-    nl.append(C2NOT(u, v, p))
-    nl.append(C2NOT(u, v, p))
-    nl.append(MaxGate((f2,), t))
-    nl.append(MaxGate((p,), t))
-    return t
-
-
-def synth_prod_n(n: int, *, verify: bool = True, cost_model: str = "paper") -> SynthReport:
-    """Minimum of n inputs: a balanced tree of two-input min blocks."""
-    if n < 2:
-        raise ValueError(f"need at least 2 inputs, got {n}")
-    names = default_var_names(n)
-    nl = Netlist(input_names=names)
-    level = list(names)
-    while len(level) > 1:
-        nxt = []
-        for i in range(0, len(level) - 1, 2):
-            nxt.append(_emit_min2_block(nl, level[i], level[i + 1]))
-        if len(level) % 2:
-            nxt.append(level[-1])
-        level = nxt
-    out = f"prod{n}"
-    nl.outputs[out] = level[0]
-    # Minterms exist exactly where every input is nonzero.
-    max_anc = 2 ** n * n
-    return _finish_report(
-        out, nl, max_anc, {out: "blocks"}, {}, {}, cost_model, verify,
-        lambda: TernaryFunction.from_callable(out, n, lambda *xs: min(xs)),
-    )
-
-
-def synth_mul3(*, verify: bool = True, cost_model: str = "paper") -> SynthReport:
-    """Three-input mod-3 product with carry.
-
-    The product cascades two two-input multiply blocks; the carry column
-    is not affine and has no block decomposition, so it runs through the
-    generic pipeline.
-    """
-    fn = builtin("mul3")
-    names = tuple(fn.var_names)
-    nl = Netlist(input_names=names)
-    t1 = _emit_gf3mul_block(nl, names[0], names[1])
-    t2 = _emit_gf3mul_block(nl, t1, names[2])
-    carry = fn.output("mul3c")
-    reduced, trace = simplify(minterm_extract(carry))
-    cw = _emit_expr_max(nl, reduced, names)
-    nl.outputs["mul3"] = t2
-    nl.outputs["mul3c"] = cw
-    return _finish_report(
-        "mul3", nl, max_ancilla(fn),
-        {"mul3": "blocks", "mul3c": "sum-of-products"},
-        {"mul3c": reduced}, {"mul3c": trace},
-        cost_model, verify, lambda: fn,
     )

@@ -3,8 +3,8 @@
 A TernaryFunction stores one output column over all 3^m input rows in
 lexicographic order with the first variable most significant.  The module
 also carries the benchmark function catalog (multipliers, half/full adders,
-averages, squared sums, n-ary sums and products), affine-function detection,
-and a plain text serialization format.
+averages, squared sums, n-ary sums and products), affine- and product-function
+detection, and a plain text serialization format.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ __all__ = [
     "builtin",
     "list_builtins",
     "linear_detect",
+    "monomial_detect",
     "parse_truth_table",
     "format_truth_table",
 ]
@@ -269,6 +270,30 @@ def linear_detect(f: TernaryFunction) -> Optional[tuple[Trit, tuple[Trit, ...]]]
         if acc % 3 != f.values[lex_index(row)]:
             return None
     return Trit(c), tuple(Trit(v) for v in lam)
+
+
+def monomial_detect(f: TernaryFunction) -> Optional[tuple[int, ...]]:
+    """Return the support S with f(x) = (prod_{i in S} x_i) mod 3, |S| >= 2, or None.
+
+    If f is such a product, the all-ones row gives 1 and zeroing one input
+    in that row gives 0 exactly for the inputs in S, so a single
+    reconstruction followed by full verification decides the property
+    exactly, as in linear_detect.
+    """
+    m = f.arity
+    ones = (1,) * m
+    if f.eval(ones) != 1:
+        return None
+    support = tuple(i for i in range(m) if f.eval(ones[:i] + (0,) + ones[i + 1 :]) == 0)
+    if len(support) < 2:
+        return None
+    for row, value in zip(all_inputs(m), f.values):
+        acc = 1
+        for i in support:
+            acc *= row[i]
+        if acc % 3 != value:
+            return None
+    return support
 
 
 class TruthTableFormatError(ValueError):

@@ -20,7 +20,7 @@ from tritsynth.core import (
 from tritsynth.expr import Fused, Pair, expr_equiv, minterm_extract
 from tritsynth.gates import C2NOT, Netlist
 from tritsynth.sim import exhaustive_check, simulate
-from tritsynth.synth import max_ancilla, synth, synth_prod_n, synth_sum_n
+from tritsynth.synth import max_ancilla, synth
 from tritsynth.simplify import simplify
 from tritsynth.truthtables import all_inputs, builtin, list_builtins
 
@@ -214,7 +214,7 @@ def test_acceptance_4():
 def test_acceptance_5():
     problems = []
     for n, want in zip(range(2, 8), (4, 8, 12, 16, 20, 24)):
-        rep = synth_sum_n(n)
+        rep = synth(builtin(f"sum{n}"))
         if rep.cost != want or rep.reduced_ancilla != 0:
             problems.append(
                 f"sum{n}: cost {rep.cost} ancillae {rep.reduced_ancilla}, "
@@ -223,7 +223,7 @@ def test_acceptance_5():
     for n, want_cost, want_anc in zip(
         range(2, 8), (18, 36, 54, 72, 90, 108), (3, 6, 9, 12, 15, 18)
     ):
-        rep = synth_prod_n(n)
+        rep = synth(builtin(f"prod{n}"))
         if rep.cost != want_cost or rep.reduced_ancilla != want_anc:
             problems.append(
                 f"prod{n}: cost {rep.cost} ancillae {rep.reduced_ancilla}, "

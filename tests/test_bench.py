@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tritsynth.bench import (
     CERTIFIED,
     REFERENCE,
@@ -13,8 +15,14 @@ from tritsynth.bench import (
 from tritsynth.synth import SynthOptions
 
 
-def test_row_order_and_count():
-    rows = run_benchmarks()
+@pytest.fixture(scope="module")
+def default_rows():
+    """One default-options bench run shared by the read-only tests."""
+    return run_benchmarks()
+
+
+def test_row_order_and_count(default_rows):
+    rows = default_rows
     names = [r.name for r in rows]
     assert names[:6] == ["sum2", "sum3", "sum4", "sum5", "sum6", "sum7"]
     assert names[6:12] == ["prod2", "prod3", "prod4", "prod5", "prod6", "prod7"]
@@ -24,12 +32,12 @@ def test_row_order_and_count():
     ]
 
 
-def test_every_row_verifies():
-    assert all(r.verified for r in run_benchmarks())
+def test_every_row_verifies(default_rows):
+    assert all(r.verified for r in default_rows)
 
 
-def test_certified_rows_match_reference():
-    rows = {r.name: r for r in run_benchmarks()}
+def test_certified_rows_match_reference(default_rows):
+    rows = {r.name: r for r in default_rows}
     assert CERTIFIED == set(
         [f"sum{n}" for n in range(2, 8)] + [f"prod{n}" for n in range(2, 8)] + ["mul2"]
     )
@@ -39,8 +47,8 @@ def test_certified_rows_match_reference():
         assert (r.max_ancilla, r.reduced_ancilla, r.cost) == REFERENCE[name][:3]
 
 
-def test_uncertified_rows_carry_both_sets_of_numbers():
-    rows = {r.name: r for r in run_benchmarks()}
+def test_uncertified_rows_carry_both_sets_of_numbers(default_rows):
+    rows = {r.name: r for r in default_rows}
     open_rows = set(REFERENCE) - CERTIFIED
     assert open_rows == {"mul3", "thadd", "tfadd", "avg2", "avg3", "sqsum2", "sqsum3"}
     for name in open_rows:
@@ -53,8 +61,8 @@ def test_uncertified_rows_carry_both_sets_of_numbers():
         assert rows[name].ref_cost is None
 
 
-def test_max_ancilla_column_against_reference():
-    rows = {r.name: r for r in run_benchmarks()}
+def test_max_ancilla_column_against_reference(default_rows):
+    rows = {r.name: r for r in default_rows}
     for name, ref in REFERENCE.items():
         if name == "tfadd":
             # The one row where the worst-case formula and the published
@@ -73,8 +81,8 @@ def test_selected_reference_values():
     assert REFERENCE["tfadd"] == (63, 4, 42, 55)
 
 
-def test_render_table_shape():
-    rows = run_benchmarks()
+def test_render_table_shape(default_rows):
+    rows = default_rows
     text = render_table(rows)
     lines = text.splitlines()
     assert lines[0].startswith("function")
@@ -99,12 +107,15 @@ def test_json_is_deterministic_and_parses():
 def test_options_flow_through():
     rows = {r.name: r for r in run_benchmarks(SynthOptions(cost_model="strict"))}
     # The pairing discount is off and collectors are priced, so the
-    # min-block row gets strictly more expensive.
-    assert rows["prod2"].cost == 38
+    # product row gets strictly more expensive: two fused MultiGTGs at 10,
+    # two C2NOTs at 8 and two MAX collectors at 5.  The figure is 46, not
+    # the 38 of the old min block, because the row now computes the
+    # catalog's (a*b) mod 3 rather than min(a, b).
+    assert rows["prod2"].cost == 46
     assert rows["sum2"].cost == 4  # a chain of adds costs the same either way
 
 
-def test_rows_are_frozen_records():
-    row = run_benchmarks()[0]
+def test_rows_are_frozen_records(default_rows):
+    row = default_rows[0]
     assert isinstance(row, BenchRow)
     assert row.cost_honest >= 0

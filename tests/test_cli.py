@@ -120,6 +120,32 @@ def test_corrupt_netlist_json_is_input_error(tmp_path, capsys):
     assert "unknown gate kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ("[]", "a netlist must be a JSON object with keys inputs, ancillas, gates, outputs"),
+        (
+            '{"inputs": ["a", "b"], "ancillas": {}, "outputs": {"sum2": "b"},'
+            ' "gates": [{"kind": "feynman", "control": "a"}]}',
+            "gate 0: feynman gate needs fields control, target, got control",
+        ),
+        (
+            '{"inputs": ["a", "b"], "ancillas": {}, "gates": [], "outputs": {"sum2": "zz"}}',
+            "output 'sum2' names unknown wire 'zz'",
+        ),
+    ],
+    ids=["top-level-list", "gate-missing-field", "output-unknown-wire"],
+)
+def test_malformed_netlist_json_is_input_error(tmp_path, capsys, doc, message):
+    nl = tmp_path / "bad.json"
+    nl.write_text(doc)
+    rc = main(["verify", str(nl), "sum2"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert message in err
+    assert "internal error" not in err
+
+
 def test_table_list(capsys):
     rc = main(["table", "--list"])
     out = capsys.readouterr().out

@@ -19,7 +19,6 @@ from tritsynth.core import (
     gf3_add,
     gf3_mul,
     proj,
-    shift_apply,
     t_and,
     t_not,
     t_or,
@@ -124,8 +123,6 @@ def test_named_shift_actions():
     assert [SELF_SHIFT.apply(x) for x in TRITS] == [0, 2, 1]
     assert [SELF_SINGLE_SHIFT.apply(x) for x in TRITS] == [1, 0, 2]
     assert [SELF_DUAL_SHIFT.apply(x) for x in TRITS] == [2, 1, 0]
-    assert shift_apply(SELF_SHIFT, 1) == 2
-    assert shift_apply(SELF_SINGLE_SHIFT, 2) == 2
 
 
 def test_self_shifts_are_the_three_transpositions():

@@ -1,8 +1,12 @@
 """Gate semantics, netlist plumbing, cost models, depth."""
 
+import copy
 import itertools
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritsynth.core import (
     ALL_SHIFTS,
@@ -204,6 +208,85 @@ def test_netlist_json_round_trip():
 def test_gate_from_dict_rejects_unknown_kind():
     with pytest.raises(ValueError, match="unknown gate kind"):
         gate_from_dict({"kind": "quux"})
+
+
+def _every_kind_netlist():
+    nl = Netlist(input_names=("a", "b"))
+    t = nl.add_ancilla("anc", 0)
+    nl.append(MSGate("a", t))
+    nl.append(Feynman("a", "b"))
+    nl.append(Toffoli("a", "b", t))
+    nl.append(GTG("a", t, (SINGLE_SHIFT, BUFFER, SELF_SHIFT)))
+    nl.append(MultiGTG(("a", "b"), t, (SINGLE_SHIFT, BUFFER, SELF_SHIFT)))
+    nl.append(C2NOT("a", "b", t))
+    nl.append(MaxGate(("a",), t))
+    nl.append(MinGate(("a", "b"), t))
+    nl.outputs["f"] = t
+    return nl
+
+
+def test_every_gate_kind_round_trips_through_json():
+    nl = _every_kind_netlist()
+    assert Netlist.from_json(nl.to_json()).to_json() == nl.to_json()
+
+
+@pytest.mark.parametrize(
+    "gate, message",
+    [
+        (7, "a gate must be an object"),
+        ({"kind": ["gtg"]}, "unknown gate kind"),
+        ({"kind": "toffoli", "control_a": "a", "target": "b"}, "toffoli gate needs fields"),
+        ({"kind": "feynman", "control": "a", "target": "b", "extra": 1}, "got control, extra, target"),
+        ({"kind": "multigtg", "controls": "ab", "target": "t", "shifts": []}, "'controls' must be a list"),
+        ({"kind": "ms", "control": 2, "target": "t"}, "'control' must be a wire name"),
+        ({"kind": "gtg", "control": "a", "target": "t", "shifts": ["Buffer"]}, "gtg gate: need one shift"),
+        ({"kind": "gtg", "control": "a", "target": "t", "shifts": ["Warp"] * 3}, "unknown shift name"),
+        ({"kind": "max", "inputs": [], "target": "t"}, "max gate: need at least one input"),
+    ],
+)
+def test_gate_from_dict_names_the_problem(gate, message):
+    with pytest.raises(ValueError, match=message):
+        gate_from_dict(gate)
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.sampled_from(["a", "t", "zz", "feynman", "Buffer"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["kind", "target", "x"]), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _json_paths(doc, prefix=()):
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _json_paths(value, prefix + (key,))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_netlist_json_with_any_part_replaced_or_dropped_fails_cleanly(data):
+    # Malformed netlist input of any shape must raise ValueError (exit 2
+    # at the command line), never another exception.
+    doc = json.loads(_every_kind_netlist().to_json())
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    drop = bool(path) and data.draw(st.booleans())
+    value = None if drop else data.draw(_ANY_JSON)
+    if not path:
+        doc = value
+    else:
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if drop:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    try:
+        Netlist.from_json(json.dumps(doc))
+    except ValueError:
+        pass
 
 
 def test_flat_gate_costs():

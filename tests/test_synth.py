@@ -1,19 +1,22 @@
 """Synthesis pipeline: numbers, structure, and end-to-end correctness."""
 
+import importlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritsynth.core import Trit
-from tritsynth.gates import C2NOT, Feynman, GTG, MaxGate, MinGate, MultiGTG
+from tritsynth.expr import minterm_extract
+from tritsynth.gates import PAPER_COST, Feynman, Netlist
 from tritsynth.sim import VerificationError, exhaustive_check, simulate
 from tritsynth.synth import (
     SynthOptions,
     SynthReport,
     max_ancilla,
     synth,
-    synth_mul3,
-    synth_prod_n,
-    synth_sum_n,
 )
+from tritsynth.simplify import simplify
 from tritsynth.truthtables import (
     MultiOutputFunction,
     TernaryFunction,
@@ -21,6 +24,9 @@ from tritsynth.truthtables import (
     default_var_names,
     list_builtins,
 )
+
+synth_module = importlib.import_module("tritsynth.synth")
+_as_multi = synth_module._as_multi
 
 
 def _kinds(nl):
@@ -104,52 +110,97 @@ def test_avg2_and_sqsum2_numbers():
 
 def test_sum_chain_builder_family():
     for n, cost in zip(range(2, 8), (4, 8, 12, 16, 20, 24)):
-        rep = synth_sum_n(n)
+        rep = synth(builtin(f"sum{n}"))
         assert rep.verified
         assert rep.cost == cost
         assert rep.reduced_ancilla == 0
         assert rep.depth == n - 1
         assert _kinds(rep.netlist) == ["feynman"] * (n - 1)
+        assert rep.paths == {f"sum{n}": "linear"}
 
 
 def test_prod_block_builder_family():
     for n, cost, anc in zip(range(2, 8), (18, 36, 54, 72, 90, 108), (3, 6, 9, 12, 15, 18)):
-        rep = synth_prod_n(n)
+        rep = synth(builtin(f"prod{n}"))
         assert rep.verified
         assert rep.cost == cost
         assert rep.reduced_ancilla == anc
+        assert rep.paths == {f"prod{n}": "sum-of-products" if n == 2 else "blocks"}
 
 
 def test_prod_tree_is_balanced():
     # Four inputs pair off before the results combine, so the two leaf
     # blocks overlap in time and depth stays at two block heights.
-    assert synth_prod_n(4).depth == synth_prod_n(2).depth * 2
+    assert synth(builtin("prod4")).depth == synth(builtin("prod2")).depth * 2
 
 
-def test_builders_reject_degenerate_width():
-    with pytest.raises(ValueError):
-        synth_sum_n(1)
-    with pytest.raises(ValueError):
-        synth_prod_n(0)
+def _generic_sop(fn):
+    """The sum-of-products emission of every output, bypassing the
+    product route: the oracle the product tree is measured against."""
+    nl = Netlist(input_names=tuple(fn.var_names))
+    for out in fn.outputs:
+        reduced, _ = simplify(minterm_extract(out))
+        nl.outputs[out.name] = synth_module._emit_expr_max(nl, reduced, fn.var_names)
+    assert exhaustive_check(nl, fn).ok
+    return nl
 
 
 def test_mul3_builder_numbers():
-    rep = synth_mul3()
+    rep = synth(builtin("mul3"))
     assert rep.verified
     assert rep.cost == 64
     assert rep.reduced_ancilla == 13
     assert rep.max_ancilla == 36
     assert rep.paths == {"mul3": "blocks", "mul3c": "sum-of-products"}
     # The cascaded block form beats the generic pipeline.
-    assert rep.cost < synth(builtin("mul3")).cost
+    generic = PAPER_COST.netlist_cost(_generic_sop(builtin("mul3")))
+    assert generic == 84
+    assert rep.cost < generic
+
+
+def test_product_node_is_the_reduced_prod2_expression():
+    reduced, _ = simplify(minterm_extract(builtin("prod2").outputs[0]))
+    assert synth_module._PRODUCT_NODE == reduced
+
+
+def _subset_product(arity, support):
+    def f(*xs):
+        acc = 1
+        for i in support:
+            acc *= xs[i]
+        return acc % 3
+
+    return TernaryFunction.from_callable("p", arity, f)
+
+
+@pytest.mark.parametrize("combine", ["max", "shared"])
+def test_product_tree_verifies_and_beats_generic(combine):
+    fns = [builtin(f"prod{n}") for n in (3, 4, 5)]
+    fns.append(_as_multi(_subset_product(4, (0, 2, 3))))  # a*c*d
+    for fn in fns:
+        rep = synth(fn, SynthOptions(combine=combine))
+        assert rep.verified, fn.name
+        assert set(rep.paths.values()) == {"blocks"}
+        assert exhaustive_check(rep.netlist, fn).ok
+        assert rep.cost < PAPER_COST.netlist_cost(_generic_sop(fn)), fn.name
+
+
+def test_subset_product_tree_reads_only_its_support():
+    rep = synth(_subset_product(4, (0, 2, 3)))
+    read = {w for g in rep.netlist.gates for w in g.wires()}
+    assert "b" not in read
+    assert rep.reduced_ancilla == 6  # two product nodes of three wires each
 
 
 def test_sum_builder_agrees_with_generic_path():
-    for n in (2, 3, 4):
-        built = synth_sum_n(n)
-        generic = synth(builtin(f"sum{n}"))
-        assert built.cost == generic.cost
-        assert built.reduced_ancilla == generic.reduced_ancilla
+    # The generic path emits exactly the Feynman chain onto the first
+    # wire that a hand-built sum family would.
+    for n in range(2, 8):
+        chain = Netlist(input_names=default_var_names(n))
+        for w in chain.input_names[1:]:
+            chain.append(Feynman(w, "a"))
+        chain.outputs[f"sum{n}"] = "a"
+        assert synth(builtin(f"sum{n}")).netlist.to_json() == chain.to_json()
 
 
 def test_linear_path_constant_offset_uses_unconditional_bump():
@@ -257,18 +308,15 @@ def test_verify_false_skips_checking():
 
 
 def test_broken_emission_is_caught(monkeypatch):
-    import importlib
-
-    synth_module = importlib.import_module("tritsynth.synth")
-
     # Swap the firing shifts so every 1-valued factor writes a 2.
     from tritsynth.core import DUAL_SHIFT, SINGLE_SHIFT, ProjFamily
 
     monkeypatch.setattr(
         synth_module, "_FIRE", {ProjFamily.L: DUAL_SHIFT, ProjFamily.J: SINGLE_SHIFT}
     )
-    with pytest.raises(VerificationError):
-        synth(builtin("prod2"))
+    for name in ("prod2", "prod3"):  # generic path and product tree
+        with pytest.raises(VerificationError):
+            synth(builtin(name))
 
 
 def test_report_is_plain_dataclass():
@@ -276,3 +324,25 @@ def test_report_is_plain_dataclass():
     assert isinstance(rep, SynthReport)
     assert rep.name == "prod2"
     assert rep.depth >= 1
+
+
+def _random_tables(arity):
+    column = st.lists(st.integers(0, 2), min_size=3**arity, max_size=3**arity)
+    return st.lists(column, min_size=1, max_size=3).map(
+        lambda cols: MultiOutputFunction(
+            "fuzz",
+            arity,
+            default_var_names(arity),
+            tuple(TernaryFunction(f"out{k}", arity, tuple(c)) for k, c in enumerate(cols)),
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(_random_tables))
+def test_random_tables_verify_in_both_modes_and_round_trip(fn):
+    for combine in ("max", "shared"):
+        rep = synth(fn, SynthOptions(combine=combine))
+        assert rep.verified
+        back = Netlist.from_json(rep.netlist.to_json())
+        assert exhaustive_check(back, fn).ok

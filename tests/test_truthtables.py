@@ -8,6 +8,8 @@ reference data rather than against their own defining formulas.
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritsynth.core import TRITS, Trit
 from tritsynth.truthtables import (
@@ -20,6 +22,7 @@ from tritsynth.truthtables import (
     lex_index,
     linear_detect,
     list_builtins,
+    monomial_detect,
     parse_truth_table,
 )
 
@@ -197,6 +200,74 @@ def test_linear_detect_general_affine():
 def test_linear_detect_constant_function():
     fn = TernaryFunction.from_callable("two", 2, lambda a, b: 2)
     assert linear_detect(fn) == (2, (0, 0))
+
+
+# monomial_detect: brute-force oracle over every support of size >= 2.
+def _monomial_oracle(fn):
+    for size in range(2, fn.arity + 1):
+        for support in itertools.combinations(range(fn.arity), size):
+            if all(
+                fn.eval(row) == _product(row, support) for row in all_inputs(fn.arity)
+            ):
+                return support
+    return None
+
+
+def _product(row, support):
+    acc = 1
+    for i in support:
+        acc *= row[i]
+    return acc % 3
+
+
+def _product_table(arity, support):
+    return TernaryFunction.from_callable("p", arity, lambda *xs: _product(xs, support))
+
+
+def test_monomial_detect_on_catalog():
+    assert monomial_detect(builtin("prod5").outputs[0]) == (0, 1, 2, 3, 4)
+    assert monomial_detect(builtin("mul3").output("mul3")) == (0, 1, 2)
+    assert monomial_detect(builtin("mul2").output("mul2")) == (0, 1)
+    for name in ("sum3", "avg3", "a2bcc", "sqsum3", "g_example"):
+        for out in builtin(name).outputs:
+            assert monomial_detect(out) is None, out.name
+    assert monomial_detect(builtin("mul3").output("mul3c")) is None
+
+
+def test_monomial_detect_rejects_single_inputs_and_scaled_products():
+    assert monomial_detect(_product_table(3, (1,))) is None
+    scaled = TernaryFunction.from_callable("s", 2, lambda a, b: (2 * a * b) % 3)
+    assert monomial_detect(scaled) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda m: st.tuples(st.just(m), st.sets(st.integers(0, m - 1)))))
+def test_monomial_detect_agrees_with_oracle_on_random_supports(case):
+    arity, support = case
+    fn = _product_table(arity, tuple(sorted(support)))
+    want = tuple(sorted(support)) if len(support) >= 2 else None
+    assert monomial_detect(fn) == _monomial_oracle(fn) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda m: st.tuples(st.just(m), st.lists(st.sampled_from((0, 1, 2)), min_size=3**m, max_size=3**m))
+    )
+)
+def test_monomial_detect_agrees_with_oracle_on_random_tables(case):
+    arity, values = case
+    fn = TernaryFunction("r", arity, tuple(values))
+    assert monomial_detect(fn) == _monomial_oracle(fn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(0, 1), (0, 2), (1, 2), (0, 1, 2)]), st.integers(0, 26), st.integers(1, 2))
+def test_monomial_detect_rejects_products_off_by_one_row(support, row, bump):
+    values = list(_product_table(3, support).values)
+    values[row] = (values[row] + bump) % 3
+    fn = TernaryFunction("r", 3, tuple(values))
+    assert monomial_detect(fn) == _monomial_oracle(fn)
 
 
 def test_text_format_round_trip():
