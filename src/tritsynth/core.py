@@ -116,15 +116,18 @@ class ProjFamily(enum.Enum):
     @property
     def complement(self) -> "ProjFamily":
         """Toggle the prime: L <-> L', J <-> J'."""
-        return {
-            ProjFamily.L: ProjFamily.L_PRIME,
-            ProjFamily.L_PRIME: ProjFamily.L,
-            ProjFamily.J: ProjFamily.J_PRIME,
-            ProjFamily.J_PRIME: ProjFamily.J,
-        }[self]
+        return _COMPLEMENT[self]
 
     def __str__(self) -> str:
         return self.value
+
+
+_COMPLEMENT = {
+    ProjFamily.L: ProjFamily.L_PRIME,
+    ProjFamily.L_PRIME: ProjFamily.L,
+    ProjFamily.J: ProjFamily.J_PRIME,
+    ProjFamily.J_PRIME: ProjFamily.J,
+}
 
 
 def proj(family: ProjFamily, level: int, a: int) -> Trit:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 from .core import TRITS, ProjFamily, Trit, proj
-from .truthtables import TernaryFunction, all_inputs, default_var_names
+from .truthtables import TernaryFunction, all_inputs, default_var_names, first_difference
 
 __all__ = [
     "Proj",
@@ -29,6 +29,7 @@ __all__ = [
     "factor_key",
     "minterm_extract",
     "expr_equiv",
+    "sop_column",
 ]
 
 
@@ -225,6 +226,23 @@ def make_pair(family: ProjFamily, u: int, v: int) -> Pair:
     return Pair(family, min(u, v), max(u, v))
 
 
+def _max_of_terms(terms: Sequence[Term], assignment: Sequence[int]) -> Trit:
+    best = 0
+    for t in terms:
+        v = t.value(assignment)
+        if v > best:
+            best = v
+            if best == 2:
+                break
+    return TRITS[best]
+
+
+def sop_column(terms: Sequence[Term], arity: int) -> tuple[Trit, ...]:
+    """The max of the terms (0 when there are none) on every input row,
+    in all_inputs order: the column TernaryFunction.values holds."""
+    return tuple(_max_of_terms(terms, row) for row in all_inputs(arity))
+
+
 @dataclass(frozen=True)
 class Expr:
     """A sum (max) of terms over `arity` variables; empty means constant 0."""
@@ -247,18 +265,10 @@ class Expr:
             raise ValueError(
                 f"expression over {self.arity} variables, got {len(assignment)} values"
             )
-        best = 0
-        for t in self.terms:
-            v = t.value(assignment)
-            if v > best:
-                best = v
-                if best == 2:
-                    break
-        return TRITS[best]
+        return _max_of_terms(self.terms, assignment)
 
     def table(self, name: str = "expr") -> TernaryFunction:
-        values = tuple(self.eval(row) for row in all_inputs(self.arity))
-        return TernaryFunction(name, self.arity, values)
+        return TernaryFunction(name, self.arity, sop_column(self.terms, self.arity))
 
     def total_factors(self) -> int:
         return sum(len(t.factors) for t in self.terms)
@@ -280,8 +290,7 @@ def minterm_extract(fn: TernaryFunction) -> Expr:
     """
     ones: list[Term] = []
     twos: list[Term] = []
-    for row in all_inputs(fn.arity):
-        v = fn.eval(row)
+    for row, v in zip(all_inputs(fn.arity), fn.values):
         if v == 0:
             continue
         family = ProjFamily.L if v == 1 else ProjFamily.J
@@ -298,7 +307,5 @@ def expr_equiv(e: Expr, fn: TernaryFunction) -> tuple[bool, Optional[tuple[Trit,
     """
     if e.arity != fn.arity:
         raise ValueError(f"arity mismatch: expression {e.arity}, function {fn.arity}")
-    for row in all_inputs(fn.arity):
-        if e.eval(row) != fn.eval(row):
-            return False, row
-    return True, None
+    row = first_difference(fn.arity, sop_column(e.terms, e.arity), fn.values)
+    return row is None, row

@@ -11,17 +11,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Sequence
 
-from .core import (
-    BUFFER,
-    DUAL_SHIFT,
-    SELF_SHIFT,
-    SINGLE_SHIFT,
-    ShiftOp,
-    Trit,
-    shift_by_name,
-)
+from .core import SINGLE_SHIFT, ShiftOp, Trit, shift_by_name
 
 
 class Gate:
@@ -42,7 +33,15 @@ class Gate:
             raise ValueError(f"{self.kind} gate wires must be distinct: {ws}")
 
     def to_dict(self):
-        raise NotImplementedError
+        """JSON form: "kind", then each field in declaration order, with
+        tuples as lists and shifts by name (see gate_from_dict)."""
+        d = {"kind": self.kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name == "shifts":
+                v = [s.name for s in v]
+            d[f.name] = list(v) if isinstance(v, tuple) else v
+        return d
 
 
 @dataclass(frozen=True)
@@ -63,9 +62,6 @@ class MSGate(Gate):
         if state[self.control] == 2:
             state[self.target] = SINGLE_SHIFT.apply(state[self.target])
 
-    def to_dict(self):
-        return {"kind": self.kind, "control": self.control, "target": self.target}
-
 
 @dataclass(frozen=True)
 class Feynman(Gate):
@@ -83,9 +79,6 @@ class Feynman(Gate):
 
     def apply(self, state):
         state[self.target] = Trit((state[self.control] + state[self.target]) % 3)
-
-    def to_dict(self):
-        return {"kind": self.kind, "control": self.control, "target": self.target}
 
 
 @dataclass(frozen=True)
@@ -106,14 +99,6 @@ class Toffoli(Gate):
     def apply(self, state):
         if state[self.control_a] == 2 and state[self.control_b] == 2:
             state[self.target] = SINGLE_SHIFT.apply(state[self.target])
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "control_a": self.control_a,
-            "control_b": self.control_b,
-            "target": self.target,
-        }
 
 
 def _validate_shifts(shifts):
@@ -145,14 +130,6 @@ class GTG(Gate):
         op = self.shifts[state[self.control]]
         state[self.target] = op.apply(state[self.target])
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "control": self.control,
-            "target": self.target,
-            "shifts": [s.name for s in self.shifts],
-        }
-
 
 @dataclass(frozen=True)
 class MultiGTG(Gate):
@@ -178,14 +155,6 @@ class MultiGTG(Gate):
         if all(state[c] == v for c in self.controls[1:]):
             state[self.target] = self.shifts[v].apply(state[self.target])
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "controls": list(self.controls),
-            "target": self.target,
-            "shifts": [s.name for s in self.shifts],
-        }
-
 
 @dataclass(frozen=True)
 class C2NOT(Gate):
@@ -206,14 +175,6 @@ class C2NOT(Gate):
         a, b = state[self.control_a], state[self.control_b]
         if {int(a), int(b)} == {1, 2}:
             state[self.target] = SINGLE_SHIFT.apply(state[self.target])
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "control_a": self.control_a,
-            "control_b": self.control_b,
-            "target": self.target,
-        }
 
 
 @dataclass(frozen=True)
@@ -236,9 +197,6 @@ class MaxGate(Gate):
     def apply(self, state):
         state[self.target] = max(state[w] for w in self.wires())
 
-    def to_dict(self):
-        return {"kind": self.kind, "inputs": list(self.inputs), "target": self.target}
-
 
 @dataclass(frozen=True)
 class MinGate(Gate):
@@ -259,9 +217,6 @@ class MinGate(Gate):
 
     def apply(self, state):
         state[self.target] = min(state[w] for w in self.wires())
-
-    def to_dict(self):
-        return {"kind": self.kind, "inputs": list(self.inputs), "target": self.target}
 
 
 _GATE_KINDS = {
@@ -346,7 +301,8 @@ class Netlist:
         return name
 
     def append(self, gate):
-        missing = [w for w in gate.wires() if w not in set(self.all_wires())]
+        known = set(self.all_wires())
+        missing = [w for w in gate.wires() if w not in known]
         if missing:
             raise ValueError(f"{gate.kind} gate uses unknown wires: {missing}")
         self.gates.append(gate)

@@ -112,21 +112,19 @@ def exhaustive_check(netlist, fn) -> CheckResult:
             f"arity mismatch: netlist has {len(netlist.input_names)} inputs, "
             f"reference has {fn.arity}"
         )
-    pairs = _output_pairs(netlist, fn)
-    checked = 0
-    for row in all_inputs(fn.arity):
+    columns = [(net, fn.output(ref).values) for net, ref in _output_pairs(netlist, fn)]
+    for index, row in enumerate(all_inputs(fn.arity)):
         res = simulate(netlist, row)
-        checked += 1
-        for net_name, ref_name in pairs:
-            want = fn.output(ref_name)(row)
+        for net_name, values in columns:
+            want = values[index]
             got = res.outputs[net_name]
             if got != want:
                 return CheckResult(
                     ok=False,
-                    checked=checked,
+                    checked=index + 1,
                     counterexample=row,
                     output_name=net_name,
                     expected=want,
                     got=got,
                 )
-    return CheckResult(ok=True, checked=checked)
+    return CheckResult(ok=True, checked=3**fn.arity)

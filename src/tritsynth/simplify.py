@@ -31,8 +31,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .core import TRITS, ProjFamily, Trit
-from .expr import Const, Expr, Factor, Fused, Pair, Proj, Term, make_pair, make_term
-from .truthtables import all_inputs, default_var_names
+from .expr import Const, Expr, Factor, Fused, Proj, Term, make_pair, make_term, sop_column
+from .truthtables import default_var_names, first_difference
 
 __all__ = [
     "RewriteStep",
@@ -340,12 +340,7 @@ def _unsound_at(arity: int, terms: list[Term], step: RewriteStep) -> Optional[tu
         before.append(terms[step.partner])
     ctx = [terms[k] for k in step.context]
     after = list(step.replacement)
-    for row in all_inputs(arity):
-        b = max((t.value(row) for t in before + ctx), default=0)
-        a = max((t.value(row) for t in after + ctx), default=0)
-        if a != b:
-            return row
-    return None
+    return first_difference(arity, sop_column(before + ctx, arity), sop_column(after + ctx, arity))
 
 
 def _measure(terms: list[Term]) -> tuple[int, int]:

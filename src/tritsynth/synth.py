@@ -37,7 +37,7 @@ from .core import (
     ShiftOp,
     Trit,
 )
-from .expr import Const, Expr, Fused, Pair, Proj, Term, minterm_extract
+from .expr import Const, Expr, Fused, Pair, Proj, Term, minterm_extract, sop_column
 from .gates import (
     C2NOT,
     COST_MODELS,
@@ -55,7 +55,6 @@ from .simplify import RewriteTrace, simplify
 from .truthtables import (
     MultiOutputFunction,
     TernaryFunction,
-    all_inputs,
     default_var_names,
     linear_detect,
     monomial_detect,
@@ -197,14 +196,12 @@ def _emit_expr_shared(nl, expr, var_names):
         return nl.add_ancilla("anc", terms[0].factors[0].value_)
     if any(isinstance(t.factors[0], Const) for t in terms):
         return None
-    firing = [
-        frozenset(row for row in all_inputs(expr.arity) if t.value(row) != 0)
-        for t in terms
-    ]
-    for i in range(len(firing)):
-        for j in range(i + 1, len(firing)):
-            if firing[i] & firing[j]:
-                return None
+    fired: set[int] = set()
+    for t in terms:
+        rows = [i for i, v in enumerate(sop_column((t,), expr.arity)) if v]
+        if not fired.isdisjoint(rows):
+            return None
+        fired.update(rows)
     acc = nl.add_ancilla("anc", 0)
     for t in terms:
         _emit_factor_gates(nl, t.factors[0], var_names, acc, "buffer")

@@ -10,8 +10,9 @@ detection, and a plain text serialization format.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Iterator, Optional
+from itertools import islice, product
+from math import prod
+from typing import Callable, Iterator, Optional, Sequence
 
 from .core import TRITS, Trit
 
@@ -21,6 +22,7 @@ __all__ = [
     "TruthTableFormatError",
     "all_inputs",
     "lex_index",
+    "first_difference",
     "builtin",
     "list_builtins",
     "linear_detect",
@@ -45,6 +47,20 @@ def lex_index(inputs: tuple[int, ...]) -> int:
     for value in inputs:
         idx = idx * 3 + Trit(value)
     return idx
+
+
+def first_difference(
+    arity: int, a: Sequence[int], b: Sequence[int]
+) -> Optional[tuple[Trit, ...]]:
+    """First input row, in lexicographic order, where two columns differ, or None.
+
+    A column holds one value per input row, in all_inputs order; the two
+    columns must be the same length.
+    """
+    for index, (x, y) in enumerate(zip(a, b, strict=True)):
+        if x != y:
+            return next(islice(all_inputs(arity), index, None))
+    return None
 
 
 def default_var_names(arity: int) -> tuple[str, ...]:
@@ -74,8 +90,7 @@ class TernaryFunction:
 
     @classmethod
     def from_callable(cls, name: str, arity: int, fn: Callable[..., int]) -> "TernaryFunction":
-        values = tuple(Trit(fn(*row)) for row in all_inputs(arity))
-        return cls(name, arity, values)
+        return cls(name, arity, tuple(fn(*row) for row in all_inputs(arity)))
 
     @classmethod
     def from_string(cls, name: str, arity: int, column: str) -> "TernaryFunction":
@@ -263,12 +278,11 @@ def linear_detect(f: TernaryFunction) -> Optional[tuple[Trit, tuple[Trit, ...]]]
         unit = list(zero_row)
         unit[i] = TRITS[1]
         lam.append((int(f.eval(tuple(unit))) - c) % 3)
-    for row in all_inputs(m):
-        acc = c
-        for coeff, x in zip(lam, row):
-            acc += coeff * x
-        if acc % 3 != f.values[lex_index(row)]:
-            return None
+    column = tuple(
+        (c + sum(coeff * x for coeff, x in zip(lam, row))) % 3 for row in all_inputs(m)
+    )
+    if column != f.values:
+        return None
     return Trit(c), tuple(Trit(v) for v in lam)
 
 
@@ -287,13 +301,8 @@ def monomial_detect(f: TernaryFunction) -> Optional[tuple[int, ...]]:
     support = tuple(i for i in range(m) if f.eval(ones[:i] + (0,) + ones[i + 1 :]) == 0)
     if len(support) < 2:
         return None
-    for row, value in zip(all_inputs(m), f.values):
-        acc = 1
-        for i in support:
-            acc *= row[i]
-        if acc % 3 != value:
-            return None
-    return support
+    column = tuple(prod(row[i] for i in support) % 3 for row in all_inputs(m))
+    return support if column == f.values else None
 
 
 class TruthTableFormatError(ValueError):

@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritsynth.core import TRITS, ProjFamily, Trit, proj
 from tritsynth.expr import (
@@ -15,8 +17,11 @@ from tritsynth.expr import (
     make_pair,
     make_term,
     minterm_extract,
+    sop_column,
 )
 from tritsynth.truthtables import TernaryFunction, all_inputs, builtin
+
+from conftest import make_random_expr
 
 L = ProjFamily.L
 J = ProjFamily.J
@@ -183,3 +188,28 @@ def test_expr_table_round_trip():
 def test_const_term():
     e = Expr((make_term([Const(Trit(2))]),), 1)
     assert all(e.eval(row) == 2 for row in all_inputs(1))
+
+
+# Differential properties: the column evaluator against per-row loops.
+random_exprs = st.builds(
+    make_random_expr, st.randoms(use_true_random=False), st.integers(1, 3)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_exprs)
+def test_sop_column_and_table_agree_with_eval_on_every_row(e):
+    pointwise = tuple(e.eval(row) for row in all_inputs(e.arity))
+    assert sop_column(e.terms, e.arity) == pointwise
+    assert e.table().values == pointwise
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_exprs, st.data())
+def test_expr_equiv_counterexample_is_the_first_mismatching_row(e, data):
+    rows = st.integers(0, 3**e.arity - 1)
+    bumps = data.draw(st.dictionaries(rows, st.integers(1, 2), max_size=3))
+    values = [(v + bumps.get(i, 0)) % 3 for i, v in enumerate(e.table().values)]
+    fn = TernaryFunction("perturbed", e.arity, tuple(values))
+    want = next((row for row in all_inputs(e.arity) if e.eval(row) != fn.eval(row)), None)
+    assert expr_equiv(e, fn) == (want is None, want)

@@ -3,11 +3,14 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritsynth.core import BUFFER, SELF_SHIFT, SINGLE_SHIFT, Trit
 from tritsynth.gates import C2NOT, Feynman, MultiGTG, Netlist, Toffoli
 from tritsynth.sim import CheckResult, SimResult, exhaustive_check, simulate
-from tritsynth.truthtables import TernaryFunction, builtin
+from tritsynth.synth import SynthOptions, synth
+from tritsynth.truthtables import TernaryFunction, all_inputs, builtin, lex_index
 
 
 def _feynman_netlist():
@@ -54,6 +57,7 @@ def test_exhaustive_check_reports_first_mismatch():
     res = exhaustive_check(nl, builtin("sum2"))
     assert not res.ok
     assert res.counterexample == (0, 1)
+    assert res.checked == 2
     assert res.expected == 1 and res.got == 0
     assert "expected 1, got 0" in res.message()
 
@@ -119,3 +123,33 @@ def test_results_are_plain_dataclasses():
     assert isinstance(res, SimResult)
     chk = exhaustive_check(_feynman_netlist(), builtin("sum2"))
     assert isinstance(chk, CheckResult)
+
+
+def _first_mismatch_pointwise(netlist, fn):
+    """Reference for exhaustive_check: (row, output) of the first mismatch."""
+    for row in all_inputs(fn.arity):
+        outputs = simulate(netlist, row).outputs
+        for out in fn.outputs:
+            if outputs[out.name] != out.eval(row):
+                return row, out.name
+    return None
+
+
+SMALL_BUILTINS = [
+    "g_example", "mul2", "thadd", "tfadd", "sqsum3", "avg3", "a2bcc", "mul3", "prod3",
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(SMALL_BUILTINS), st.sampled_from(["max", "shared"]), st.data())
+def test_checked_counts_rows_up_to_the_first_mismatch_of_a_mutated_netlist(name, combine, data):
+    fn = builtin(name)
+    nl = synth(fn, SynthOptions(combine=combine)).netlist
+    del nl.gates[data.draw(st.integers(0, len(nl.gates) - 1))]
+    res = exhaustive_check(nl, fn)
+    want = _first_mismatch_pointwise(nl, fn)
+    if want is None:
+        assert res.ok and res.checked == 3**fn.arity
+    else:
+        assert (res.counterexample, res.output_name) == want
+        assert res.checked == lex_index(res.counterexample) + 1

@@ -9,6 +9,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tritsynth.core import TRITS, ProjFamily, Trit, proj
 from tritsynth.expr import (
@@ -27,11 +29,15 @@ from tritsynth.simplify import (
     RULES,
     RewriteSoundnessError,
     RewriteStep,
+    _apply_step,
+    _unsound_at,
     apply_rule,
     replay,
     simplify,
 )
 from tritsynth.truthtables import all_inputs, builtin
+
+from conftest import make_random_expr
 
 L = ProjFamily.L
 J = ProjFamily.J
@@ -329,3 +335,52 @@ def test_soundness_guard_rejects_broken_rules(monkeypatch):
         simplify(e)
     assert exc.value.rule_id == 1
     assert exc.value.counterexample == (1,)
+
+
+# The soundness check reads whole columns; this per-row loop is the
+# reference it must agree with, row for row.
+def _unsound_at_pointwise(arity, terms, step):
+    before = [terms[step.index]]
+    if step.partner is not None:
+        before.append(terms[step.partner])
+    ctx = [terms[k] for k in step.context]
+    after = list(step.replacement)
+    for row in all_inputs(arity):
+        b = max((t.value(row) for t in before + ctx), default=0)
+        a = max((t.value(row) for t in after + ctx), default=0)
+        if a != b:
+            return row
+    return None
+
+
+@st.composite
+def _terms_and_step(draw):
+    """Random terms with a random, usually unsound, step over them."""
+    rng = draw(st.randoms(use_true_random=False))
+    arity = draw(st.integers(1, 3))
+    terms = list(make_random_expr(rng, arity).terms) or [make_term([Proj(L, Trit(0), 0)])]
+    index = draw(st.integers(0, len(terms) - 1))
+    later = st.integers(index + 1, len(terms) - 1) if index + 1 < len(terms) else st.nothing()
+    partner = draw(st.none() | later)
+    others = [k for k in range(len(terms)) if k not in (index, partner)]
+    context = tuple(draw(st.lists(st.sampled_from(others), unique=True))) if others else ()
+    replacement = make_random_expr(rng, arity).terms
+    return arity, terms, RewriteStep(1, index, partner, replacement, context)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_terms_and_step())
+def test_unsound_at_agrees_with_pointwise_loop_on_random_steps(case):
+    arity, terms, step = case
+    assert _unsound_at(arity, terms, step) == _unsound_at_pointwise(arity, terms, step)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+def test_steps_simplify_accepts_are_sound_under_the_pointwise_loop(rng, arity):
+    e = make_random_expr(rng, arity)
+    _, trace = simplify(e)
+    terms = list(e.terms)
+    for step in trace.steps:
+        assert _unsound_at_pointwise(arity, terms, step) is None
+        terms = _apply_step(terms, step)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tritsynth.core import Trit
-from tritsynth.expr import minterm_extract
+from tritsynth.expr import Const, Expr, make_term, minterm_extract
 from tritsynth.gates import PAPER_COST, Feynman, Netlist
 from tritsynth.sim import VerificationError, exhaustive_check, simulate
 from tritsynth.synth import (
@@ -20,10 +20,13 @@ from tritsynth.simplify import simplify
 from tritsynth.truthtables import (
     MultiOutputFunction,
     TernaryFunction,
+    all_inputs,
     builtin,
     default_var_names,
     list_builtins,
 )
+
+from conftest import make_random_expr
 
 synth_module = importlib.import_module("tritsynth.synth")
 _as_multi = synth_module._as_multi
@@ -276,6 +279,44 @@ def test_shared_mode_falls_back_on_overlapping_terms():
     default = synth(fn)
     assert shared.verified and default.verified
     assert shared.reduced_ancilla == default.reduced_ancilla
+
+
+def _fire_disjoint_pairwise(expr):
+    """Reference for the shared-mode test: no two terms fire on one row."""
+    firing = [
+        frozenset(row for row in all_inputs(expr.arity) if t.value(row) != 0)
+        for t in expr.terms
+    ]
+    return all(
+        not (firing[i] & firing[j])
+        for i in range(len(firing))
+        for j in range(i + 1, len(firing))
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3), st.booleans())
+def test_shared_mode_decision_agrees_with_pairwise_firing_sets(rng, arity, minterms):
+    # Each term keeps only its first factor and constants are left out, so
+    # the firing-set test alone decides.  Terms drawn from a table's
+    # minterms, or their reduction, are disjoint more often than random ones.
+    if minterms:
+        values = tuple(rng.choice((0, 0, 1, 2)) for _ in range(3**arity))
+        expr = minterm_extract(TernaryFunction("t", arity, values))
+        expr = simplify(expr)[0] if rng.random() < 0.5 else expr
+    else:
+        expr = make_random_expr(rng, arity)
+    singles = [t.factors[:1] for t in expr.terms if not isinstance(t.factors[0], Const)]
+    expr = Expr(tuple(make_term(fs) for fs in singles), arity)
+    if len(expr.terms) < 2:
+        return
+    names = default_var_names(arity)
+    nl = Netlist(input_names=names)
+    wire = synth_module._emit_expr_shared(nl, expr, names)
+    assert (wire is not None) == _fire_disjoint_pairwise(expr)
+    if wire is not None:
+        nl.outputs["f"] = wire
+        assert exhaustive_check(nl, expr.table("f")).ok
 
 
 def test_report_carries_expressions_and_traces():

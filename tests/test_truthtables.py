@@ -18,6 +18,7 @@ from tritsynth.truthtables import (
     TruthTableFormatError,
     all_inputs,
     builtin,
+    first_difference,
     format_truth_table,
     lex_index,
     linear_detect,
@@ -144,6 +145,37 @@ def test_function_validation():
     fn = TernaryFunction.from_string("f", 1, "012")
     with pytest.raises(ValueError, match="takes 1 inputs"):
         fn.eval((TRITS[0], TRITS[1]))
+    with pytest.raises(ValueError, match="trit value"):
+        TernaryFunction.from_callable("bad", 1, lambda a: a + 1)
+    assert TernaryFunction.from_callable("f", 1, lambda a: a).values == (0, 1, 2)
+
+
+def _columns_with_bumps(arity):
+    """A random column and a copy with some rows moved to another value."""
+    column = st.lists(st.integers(0, 2), min_size=3**arity, max_size=3**arity)
+    bumps = st.dictionaries(st.integers(0, 3**arity - 1), st.integers(1, 2), max_size=3)
+    return st.tuples(st.just(arity), column, bumps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(_columns_with_bumps))
+def test_first_difference_is_the_first_differing_row(case):
+    arity, column, bumps = case
+    other = [(v + bumps.get(i, 0)) % 3 for i, v in enumerate(column)]
+    a = TernaryFunction("a", arity, tuple(column))
+    b = TernaryFunction("b", arity, tuple(other))
+    want = next((row for row in all_inputs(arity) if a.eval(row) != b.eval(row)), None)
+    assert first_difference(arity, a.values, b.values) == want
+    if bumps:
+        assert lex_index(want) == min(bumps)
+
+
+def test_first_difference_row_order_and_lengths():
+    assert first_difference(2, (0,) * 9, (0,) * 7 + (1, 0)) == (2, 1)
+    assert first_difference(3, (0,) * 27, (0,) * 11 + (2,) + (0,) * 15) == (1, 0, 2)
+    assert first_difference(1, (0, 1, 2), (0, 1, 2)) is None
+    with pytest.raises(ValueError):
+        first_difference(2, (0,) * 9, (0,) * 8)
 
 
 def test_multi_output_validation():
@@ -200,6 +232,25 @@ def test_linear_detect_general_affine():
 def test_linear_detect_constant_function():
     fn = TernaryFunction.from_callable("two", 2, lambda a, b: 2)
     assert linear_detect(fn) == (2, (0, 0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda m: st.tuples(
+            st.just(m),
+            st.lists(st.integers(0, 2), min_size=m + 1, max_size=m + 1),
+            st.integers(0, 3**m - 1),
+            st.integers(0, 2),
+        )
+    )
+)
+def test_linear_detect_agrees_with_oracle_on_affine_tables_off_by_up_to_one_row(case):
+    arity, (c, *lam), row, bump = case
+    values = [(c + sum(l * x for l, x in zip(lam, r))) % 3 for r in all_inputs(arity)]
+    values[row] = (values[row] + bump) % 3
+    fn = TernaryFunction("aff", arity, tuple(values))
+    assert linear_detect(fn) == _affine_oracle(fn)
 
 
 # monomial_detect: brute-force oracle over every support of size >= 2.
