@@ -356,39 +356,27 @@ class Netlist:
 # Cost accounting.  The flat model prices every controlled gate at the
 # cost of its uncontrolled core plus a fixed control surcharge and
 # treats the irreversible collectors as free wiring; the strict model
-# scales with fan-in and drops the pairing discount.
+# scales with fan-in and drops the pairing discount.  Every model shares
+# these prices; a MultiGTG's is per control when not flat.
+_PRICE = {"ms": 1, "feynman": 4, "toffoli": 5, "gtg": 5, "multigtg": 5, "c2not": 8}
+
 
 @dataclass(frozen=True)
 class CostModel:
     name: str
-    ms: int = 1
-    feynman: int = 4
-    toffoli: int = 5
-    gtg: int = 5
     multigtg_flat: bool = True
-    multigtg_unit: int = 5
-    c2not: int = 8
     collector_unit: int = 0
     fuse_c2not_pairs: bool = True
 
     def gate_cost(self, gate):
-        if isinstance(gate, MSGate):
-            return self.ms
-        if isinstance(gate, Feynman):
-            return self.feynman
-        if isinstance(gate, Toffoli):
-            return self.toffoli
-        if isinstance(gate, GTG):
-            return self.gtg
-        if isinstance(gate, MultiGTG):
-            if self.multigtg_flat:
-                return self.multigtg_unit
-            return self.multigtg_unit * len(gate.controls)
-        if isinstance(gate, C2NOT):
-            return self.c2not
-        if isinstance(gate, (MaxGate, MinGate)):
+        kind = getattr(gate, "kind", None)
+        if kind in ("max", "min"):
             return self.collector_unit * len(gate.inputs)
-        raise TypeError(f"no cost for {gate!r}")
+        if kind not in _PRICE:
+            raise TypeError(f"no cost for {gate!r}")
+        if kind == "multigtg" and not self.multigtg_flat:
+            return _PRICE[kind] * len(gate.controls)
+        return _PRICE[kind]
 
     def netlist_cost(self, netlist):
         total = 0
@@ -400,7 +388,7 @@ class CostModel:
             else:
                 total += self.gate_cost(g)
         for count in c2not_groups.values():
-            total += ((count + 1) // 2) * self.c2not
+            total += ((count + 1) // 2) * _PRICE["c2not"]
         return total
 
 

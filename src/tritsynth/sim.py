@@ -12,12 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import Trit
-from .truthtables import (
-    MultiOutputFunction,
-    TernaryFunction,
-    all_inputs,
-    default_var_names,
-)
+from .truthtables import all_inputs, as_multi_output
 
 
 class VerificationError(RuntimeError):
@@ -105,8 +100,7 @@ def exhaustive_check(netlist, fn) -> CheckResult:
     fn may be a MultiOutputFunction or a single TernaryFunction.
     Returns the first mismatch in lexicographic input order, if any.
     """
-    if isinstance(fn, TernaryFunction):
-        fn = MultiOutputFunction(fn.name, fn.arity, default_var_names(fn.arity), (fn,))
+    fn = as_multi_output(fn)
     if len(netlist.input_names) != fn.arity:
         raise ValueError(
             f"arity mismatch: netlist has {len(netlist.input_names)} inputs, "

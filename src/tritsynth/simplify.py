@@ -18,11 +18,18 @@ Ten rewrite rules shrink an expression while preserving its truth table:
  10  same-family same-level projections on distinct variables fuse into one
      joint projection factor
 
-The engine applies rules to a fixpoint under a fixed priority with leftmost
-site selection, so results are deterministic.  Every applied step is checked
-pointwise against the affected terms over the full input space; a failed
-check raises instead of producing a wrong expression.  Each step strictly
-shrinks (term count, factor count) lexicographically, which bounds the run.
+Rules 1, 2, 3, 5, 9 and 10 rewrite one term, and one finder (_each_term)
+takes the first term, in order, that the rule rewrites.  Rules 6, 7 and 8
+rewrite a term together with a later partner term whose factors they name,
+and one finder (_with_partner) takes the leftmost term that has a partner,
+paired with its nearest later partner.  Rule 4 reads a constant term
+anywhere in the sum and keeps a finder of its own.
+
+The engine applies rules to a fixpoint under a fixed priority, so results
+are deterministic.  Every step, in simplify and in apply_rule alike, is
+checked against the affected terms over the full input space and must
+strictly shrink (term count, factor count) lexicographically, which bounds
+the run; a failed check raises instead of producing a wrong expression.
 """
 
 from __future__ import annotations
@@ -115,18 +122,12 @@ def _is_const(f: Factor, value: int) -> bool:
     return isinstance(f, Const) and f.value_ == value
 
 
-def _l_valued(f: Factor) -> bool:
-    """True when the factor can only evaluate to 0 or 1."""
+def _valued(f: Factor, const_val: int, family: ProjFamily) -> bool:
+    """True when the factor can only evaluate to 0 or const_val, the active
+    value of family (1 for L, 2 for J)."""
     if isinstance(f, Const):
-        return f.value_ <= 1
-    return f.base_family is _L
-
-
-def _j_valued(f: Factor) -> bool:
-    """True when the factor can only evaluate to 0 or 2."""
-    if isinstance(f, Const):
-        return f.value_ in (0, 2)
-    return f.base_family is _J
+        return f.value_ in (0, const_val)
+    return f.base_family is family
 
 
 def _without(factors: Sequence[Factor], *drop: Factor) -> list[Factor]:
@@ -137,33 +138,74 @@ def _without(factors: Sequence[Factor], *drop: Factor) -> list[Factor]:
     return out
 
 
-def _find_rule_1(terms: list[Term]) -> Optional[RewriteStep]:
-    for i, t in enumerate(terms):
-        if len(t.factors) >= 2 and any(_is_const(f, 0) for f in t.factors):
-            return RewriteStep(1, i, None, ())
+def _each_term(rule_id: int, rewrite: Callable[[Term], Optional[tuple[Term, ...]]]):
+    """find for a one-term rule: the first term, in order, that rewrite
+    replaces; rewrite returns the replacement terms, or None."""
+
+    def find(terms: list[Term]) -> Optional[RewriteStep]:
+        for i, t in enumerate(terms):
+            replacement = rewrite(t)
+            if replacement is not None:
+                return RewriteStep(rule_id, i, None, replacement)
+        return None
+
+    return find
+
+
+def _with_partner(rule_id: int, sites, build: Callable[[Term, object], Term]):
+    """find for a two-term rule.
+
+    sites(term) yields (partner factor tuple, site) pairs: the term rewrites
+    with a later term whose factors equal the partner tuple.  The leftmost
+    term with a partner wins, paired with its nearest later partner (the
+    first site wins ties); build(term, site) makes the replacement term.
+    """
+
+    def find(terms: list[Term]) -> Optional[RewriteStep]:
+        index_of: Optional[dict[tuple[Factor, ...], list[int]]] = None
+        for i, t in enumerate(terms):
+            best = None  # (partner index, site)
+            for partner, site in sites(t):
+                if index_of is None:
+                    index_of = {}
+                    for k, u in enumerate(terms):
+                        index_of.setdefault(u.factors, []).append(k)
+                for j in index_of.get(partner, ()):
+                    if j > i:
+                        if best is None or j < best[0]:
+                            best = (j, site)
+                        break
+            if best is not None:
+                return RewriteStep(rule_id, i, best[0], (build(t, best[1]),))
+        return None
+
+    return find
+
+
+def _rule_1(t: Term) -> Optional[tuple[Term, ...]]:
+    if len(t.factors) >= 2 and any(_is_const(f, 0) for f in t.factors):
+        return ()
     return None
 
 
-def _find_rule_2(terms: list[Term]) -> Optional[RewriteStep]:
-    for i, t in enumerate(terms):
-        for const_val, valued in ((1, _L), (2, _J)):
-            redundant = next((f for f in t.factors if _is_const(f, const_val)), None)
-            if redundant is None:
-                continue
-            if any(f.base_family is valued for f in t.factors if not isinstance(f, Const)):
-                return RewriteStep(2, i, None, (make_term(_without(t.factors, redundant)),))
+def _rule_2(t: Term) -> Optional[tuple[Term, ...]]:
+    for const_val, family in ((1, _L), (2, _J)):
+        redundant = next((f for f in t.factors if _is_const(f, const_val)), None)
+        if redundant is not None and any(
+            f.base_family is family for f in t.factors if not isinstance(f, Const)
+        ):
+            return (make_term(_without(t.factors, redundant)),)
     return None
 
 
-def _find_rule_3(terms: list[Term]) -> Optional[RewriteStep]:
-    for i, t in enumerate(terms):
-        if len(t.factors) == 1 and _is_const(t.factors[0], 0):
-            return RewriteStep(3, i, None, ())
+def _rule_3(t: Term) -> Optional[tuple[Term, ...]]:
+    if len(t.factors) == 1 and _is_const(t.factors[0], 0):
+        return ()
     return None
 
 
 def _find_rule_4(terms: list[Term]) -> Optional[RewriteStep]:
-    for const_val, term_pred in ((1, _l_valued), (2, _j_valued)):
+    for const_val, family in ((1, _L), (2, _J)):
         dominator = next(
             (k for k, t in enumerate(terms)
              if len(t.factors) == 1 and _is_const(t.factors[0], const_val)),
@@ -172,144 +214,100 @@ def _find_rule_4(terms: list[Term]) -> Optional[RewriteStep]:
         if dominator is None:
             continue
         for i, t in enumerate(terms):
-            if i != dominator and all(term_pred(f) for f in t.factors):
+            if i != dominator and all(_valued(f, const_val, family) for f in t.factors):
                 return RewriteStep(4, i, None, (), context=(dominator,))
     return None
 
 
-def _find_rule_5(terms: list[Term]) -> Optional[RewriteStep]:
-    for i, t in enumerate(terms):
-        projs = {(f.family, f.level, f.var) for f in t.factors if isinstance(f, Proj)}
-        for family, level, var in projs:
-            if not family.primed and (family.complement, level, var) in projs:
-                return RewriteStep(5, i, None, ())
+def _rule_5(t: Term) -> Optional[tuple[Term, ...]]:
+    projs = {(f.family, f.level, f.var) for f in t.factors if isinstance(f, Proj)}
+    for family, level, var in projs:
+        if not family.primed and (family.complement, level, var) in projs:
+            return ()
     return None
 
 
-def _find_rule_6(terms: list[Term]) -> Optional[RewriteStep]:
-    for i, t in enumerate(terms):
-        if len(t.factors) != 1 or not isinstance(t.factors[0], Proj):
-            continue
+def _rule_6_sites(t: Term):
+    if len(t.factors) == 1 and isinstance(t.factors[0], Proj):
         f = t.factors[0]
-        partner = (Proj(f.family.complement, f.level, f.var),)
-        for j in range(i + 1, len(terms)):
-            if terms[j].factors == partner:
-                const = Const(f.base_family.active_value)
-                return RewriteStep(6, i, j, (make_term([const]),))
-    return None
+        yield (Proj(f.family.complement, f.level, f.var),), None
 
 
-def _find_rule_7(terms: list[Term]) -> Optional[RewriteStep]:
-    index_of: dict[tuple[Factor, ...], list[int]] = {}
-    for idx, t in enumerate(terms):
-        index_of.setdefault(t.factors, []).append(idx)
-    for i, t in enumerate(terms):
-        best = None  # (partner index, literal, other level)
-        for f in t.factors:
-            if not isinstance(f, Proj) or f.family.primed:
-                continue
+def _rule_6_build(t: Term, site: None) -> Term:
+    return make_term([Const(t.factors[0].base_family.active_value)])
+
+
+def _rule_7_sites(t: Term):
+    for f in t.factors:
+        if isinstance(f, Proj) and not f.family.primed:
             rest = _without(t.factors, f)
             for other in TRITS:
-                if other == f.level:
-                    continue
-                sibling = make_term(rest + [Proj(f.family, other, f.var)]).factors
-                for j in index_of.get(sibling, ()):
-                    if j > i and (best is None or j < best[0]):
-                        best = (j, f, other)
-                    if j > i:
-                        break
-        if best is not None:
-            j, f, other = best
-            missing = Trit(3 - int(f.level) - int(other))
-            contracted = make_term(
-                _without(t.factors, f) + [Proj(f.family.complement, missing, f.var)]
-            )
-            return RewriteStep(7, i, j, (contracted,))
-    return None
+                if other != f.level:
+                    yield make_term(rest + [Proj(f.family, other, f.var)]).factors, (f, other)
 
 
-def _find_rule_8(terms: list[Term]) -> Optional[RewriteStep]:
-    index_of: dict[tuple[Factor, ...], list[int]] = {}
-    for idx, t in enumerate(terms):
-        index_of.setdefault(t.factors, []).append(idx)
-    for i, t in enumerate(terms):
-        best = None  # (partner index, level-1 literal, level-2 literal)
-        for family in (_L, _J):
-            ones = [f for f in t.factors
-                    if isinstance(f, Proj) and f.family is family and f.level == 1]
-            twos = [f for f in t.factors
-                    if isinstance(f, Proj) and f.family is family and f.level == 2]
-            for fu in ones:
-                for fv in twos:
-                    if fu.var == fv.var:
-                        continue
+def _rule_7_build(t: Term, site: tuple[Proj, Trit]) -> Term:
+    f, other = site
+    missing = Trit(3 - int(f.level) - int(other))
+    return make_term(_without(t.factors, f) + [Proj(f.family.complement, missing, f.var)])
+
+
+def _rule_8_sites(t: Term):
+    for family in (_L, _J):
+        ones = [f for f in t.factors
+                if isinstance(f, Proj) and f.family is family and f.level == 1]
+        twos = [f for f in t.factors
+                if isinstance(f, Proj) and f.family is family and f.level == 2]
+        for fu in ones:
+            for fv in twos:
+                if fu.var != fv.var:
                     rest = _without(t.factors, fu, fv)
-                    crossed = make_term(
-                        rest + [Proj(family, TRITS[2], fu.var), Proj(family, TRITS[1], fv.var)]
-                    ).factors
-                    for j in index_of.get(crossed, ()):
-                        if j > i and (best is None or j < best[0]):
-                            best = (j, fu, fv)
-                        if j > i:
-                            break
-        if best is not None:
-            j, fu, fv = best
-            fused = make_term(
-                _without(t.factors, fu, fv) + [make_pair(fu.family, fu.var, fv.var)]
-            )
-            return RewriteStep(8, i, j, (fused,))
+                    crossed = [Proj(family, TRITS[2], fu.var), Proj(family, TRITS[1], fv.var)]
+                    yield make_term(rest + crossed).factors, (fu, fv)
+
+
+def _rule_8_build(t: Term, site: tuple[Proj, Proj]) -> Term:
+    fu, fv = site
+    return make_term(_without(t.factors, fu, fv) + [make_pair(fu.family, fu.var, fv.var)])
+
+
+def _rule_9(t: Term) -> Optional[tuple[Term, ...]]:
+    fs = t.factors
+    for k in range(len(fs) - 1):
+        if fs[k] == fs[k + 1]:  # canonical order keeps equals adjacent
+            return (Term(fs[:k] + fs[k + 1:]),)
     return None
 
 
-def _find_rule_9(terms: list[Term]) -> Optional[RewriteStep]:
-    for i, t in enumerate(terms):
-        for k in range(len(t.factors) - 1):
-            if t.factors[k] == t.factors[k + 1]:  # canonical order keeps equals adjacent
-                kept = t.factors[:k] + t.factors[k + 1:]
-                return RewriteStep(9, i, None, (Term(kept),))
-    return None
-
-
-def _find_rule_10(terms: list[Term]) -> Optional[RewriteStep]:
-    for i, t in enumerate(terms):
-        groups: dict[tuple[ProjFamily, Trit], list[Factor]] = {}
-        order: list[tuple[ProjFamily, Trit]] = []
-        for f in t.factors:
-            if isinstance(f, Proj) and not f.family.primed:
-                key = (f.family, f.level)
-            elif isinstance(f, Fused):
-                key = (f.family, f.level)
-            else:
-                continue
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(f)
-        for key in order:
-            group = groups[key]
-            if len(group) < 2:
-                continue
-            family, level = key
-            merged_vars: set[int] = set()
-            for f in group:
-                merged_vars.update(f.vars_used())
-            rest = _without(t.factors, *group)
+def _rule_10(t: Term) -> Optional[tuple[Term, ...]]:
+    groups: dict[tuple[ProjFamily, Trit], list[Factor]] = {}  # in first-seen order
+    for f in t.factors:
+        if isinstance(f, Fused) or (isinstance(f, Proj) and not f.family.primed):
+            groups.setdefault((f.family, f.level), []).append(f)
+    for (family, level), group in groups.items():
+        merged_vars = {v for f in group for v in f.vars_used()}
+        # A repeated literal such as L0(a)L0(a) names one variable; rule 9 drops it.
+        if len(group) >= 2 and len(merged_vars) >= 2:
             fused = Fused(family, level, tuple(sorted(merged_vars)))
-            return RewriteStep(10, i, None, (make_term(rest + [fused]),))
+            return (make_term(_without(t.factors, *group) + [fused]),)
     return None
 
 
 RULES: dict[int, RewriteRule] = {
-    1: RewriteRule(1, "term with a 0 factor vanishes", _find_rule_1),
-    2: RewriteRule(2, "family identity constant factor is redundant", _find_rule_2),
-    3: RewriteRule(3, "constant-0 term is dropped from the sum", _find_rule_3),
+    1: RewriteRule(1, "term with a 0 factor vanishes", _each_term(1, _rule_1)),
+    2: RewriteRule(2, "family identity constant factor is redundant", _each_term(2, _rule_2)),
+    3: RewriteRule(3, "constant-0 term is dropped from the sum", _each_term(3, _rule_3)),
     4: RewriteRule(4, "family constant term absorbs same-family terms", _find_rule_4),
-    5: RewriteRule(5, "complementary literals annihilate a term", _find_rule_5),
-    6: RewriteRule(6, "complementary literal terms sum to the family constant", _find_rule_6),
-    7: RewriteRule(7, "complementary level pair contracts to a primed literal", _find_rule_7),
-    8: RewriteRule(8, "crossed 1/2 term pair fuses into a Pair factor", _find_rule_8),
-    9: RewriteRule(9, "duplicate factor inside a term is dropped", _find_rule_9),
-    10: RewriteRule(10, "same-level projections fuse into a joint projection", _find_rule_10),
+    5: RewriteRule(5, "complementary literals annihilate a term", _each_term(5, _rule_5)),
+    6: RewriteRule(6, "complementary literal terms sum to the family constant",
+                   _with_partner(6, _rule_6_sites, _rule_6_build)),
+    7: RewriteRule(7, "complementary level pair contracts to a primed literal",
+                   _with_partner(7, _rule_7_sites, _rule_7_build)),
+    8: RewriteRule(8, "crossed 1/2 term pair fuses into a Pair factor",
+                   _with_partner(8, _rule_8_sites, _rule_8_build)),
+    9: RewriteRule(9, "duplicate factor inside a term is dropped", _each_term(9, _rule_9)),
+    10: RewriteRule(10, "same-level projections fuse into a joint projection",
+                    _each_term(10, _rule_10)),
 }
 
 # Cleanup and annihilation first, then the term-pair fusions (8, 10), and the
@@ -347,25 +345,32 @@ def _measure(terms: list[Term]) -> tuple[int, int]:
     return len(terms), sum(len(t.factors) for t in terms)
 
 
+def _checked_step(
+    arity: int, terms: list[Term], rule_ids: Sequence[int]
+) -> Optional[tuple[RewriteStep, list[Term]]]:
+    """The first site of the first rule in rule_ids that has one, checked
+    and applied: (step, new terms), or None when no rule has a site."""
+    for rule_id in rule_ids:
+        step = RULES[rule_id].find(terms)
+        if step is not None:
+            break
+    else:
+        return None
+    bad = _unsound_at(arity, terms, step)
+    if bad is not None:
+        raise RewriteSoundnessError(step.rule_id, bad)
+    new_terms = _apply_step(terms, step)
+    if not _measure(new_terms) < _measure(terms):
+        raise RewriteSoundnessError(step.rule_id, (TRITS[0],) * arity)
+    return step, new_terms
+
+
 def simplify(e: Expr) -> tuple[Expr, RewriteTrace]:
     """Rewrite to a fixpoint; returns the reduced expression and its trace."""
     terms = list(e.terms)
     steps: list[RewriteStep] = []
-    while True:
-        step = None
-        for rule_id in PRIORITY:
-            step = RULES[rule_id].find(terms)
-            if step is not None:
-                break
-        if step is None:
-            break
-        bad = _unsound_at(e.arity, terms, step)
-        if bad is not None:
-            raise RewriteSoundnessError(step.rule_id, bad)
-        new_terms = _apply_step(terms, step)
-        if not _measure(new_terms) < _measure(terms):
-            raise RewriteSoundnessError(step.rule_id, (TRITS[0],) * e.arity)
-        terms = new_terms
+    while (done := _checked_step(e.arity, terms, PRIORITY)) is not None:
+        step, terms = done
         steps.append(step)
     return Expr(tuple(terms), e.arity), RewriteTrace(tuple(steps))
 
@@ -374,14 +379,8 @@ def apply_rule(e: Expr, rule_id: int) -> Optional[Expr]:
     """Apply one rule at its first site, or return None if it has no site."""
     if rule_id not in RULES:
         raise ValueError(f"rule id must be 1..10, got {rule_id}")
-    terms = list(e.terms)
-    step = RULES[rule_id].find(terms)
-    if step is None:
-        return None
-    bad = _unsound_at(e.arity, terms, step)
-    if bad is not None:
-        raise RewriteSoundnessError(rule_id, bad)
-    return Expr(tuple(_apply_step(terms, step)), e.arity)
+    done = _checked_step(e.arity, list(e.terms), (rule_id,))
+    return None if done is None else Expr(tuple(done[1]), e.arity)
 
 
 def replay(initial: Expr, trace: RewriteTrace) -> Expr:

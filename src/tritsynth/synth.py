@@ -55,7 +55,7 @@ from .simplify import RewriteTrace, simplify
 from .truthtables import (
     MultiOutputFunction,
     TernaryFunction,
-    default_var_names,
+    as_multi_output,
     linear_detect,
     monomial_detect,
 )
@@ -279,15 +279,9 @@ def _emit_linear(nl, c, lams, claimed, later_reads):
     return w
 
 
-def _as_multi(fn):
-    if isinstance(fn, TernaryFunction):
-        return MultiOutputFunction(fn.name, fn.arity, default_var_names(fn.arity), (fn,))
-    return fn
-
-
 def synth(fn: Union[MultiOutputFunction, TernaryFunction], options: Optional[SynthOptions] = None) -> SynthReport:
     """Build a verified netlist for every output of fn."""
-    fn = _as_multi(fn)
+    fn = as_multi_output(fn)
     opts = options or SynthOptions()
     var_names = tuple(fn.var_names)
     nl = Netlist(input_names=var_names)

@@ -159,9 +159,15 @@ class MultiOutputFunction:
         return {out.name: out.eval(inputs) for out in self.outputs}
 
 
+def as_multi_output(fn: TernaryFunction | MultiOutputFunction) -> MultiOutputFunction:
+    """fn itself, or a single output wrapped as a one-output bundle."""
+    if isinstance(fn, TernaryFunction):
+        return MultiOutputFunction(fn.name, fn.arity, default_var_names(fn.arity), (fn,))
+    return fn
+
+
 def _single(name: str, arity: int, fn: Callable[..., int]) -> MultiOutputFunction:
-    table = TernaryFunction.from_callable(name, arity, fn)
-    return MultiOutputFunction(name, arity, default_var_names(arity), (table,))
+    return as_multi_output(TernaryFunction.from_callable(name, arity, fn))
 
 
 def _from_columns(name: str, arity: int, columns: dict[str, str]) -> MultiOutputFunction:

@@ -1,10 +1,15 @@
 """CLI flows, invoked in process through main()."""
 
+import hashlib
 import json
 
 import pytest
 
 from tritsynth.cli import main
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def test_synth_builtin_summary(capsys):
@@ -177,6 +182,13 @@ def test_bench_json_is_byte_stable(capsys):
     assert first == second
     doc = json.loads(first)
     assert len(doc["rows"]) == 22
+    # Pinned bytes: a change to any bench row moves these on purpose.
+    assert _sha256(first) == "3d47cb5f6dd0e7b39ae4b0fb03352c8b2ac1652dc7f525d1d33c4d5db3be0716"
+    rc = main(["bench", "--json", "--combine", "shared", "--cost-model", "strict"])
+    assert rc == 0
+    assert _sha256(capsys.readouterr().out) == (
+        "e5668624a544eda89b7e99d3b3cf579e0eca8fb1ca566eeed975037de537ca2a"
+    )
 
 
 def test_simplify_command(capsys):

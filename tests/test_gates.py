@@ -23,6 +23,7 @@ from tritsynth.gates import (
     COST_MODELS,
     GTG,
     Feynman,
+    Gate,
     MSGate,
     MaxGate,
     MinGate,
@@ -309,6 +310,16 @@ def test_strict_costs_scale_with_fanin():
     assert STRICT_COST.gate_cost(MaxGate(("a", "b", "c"), "t")) == 15
     assert STRICT_COST.gate_cost(MinGate(("a",), "t")) == 5
     assert STRICT_COST.gate_cost(C2NOT("a", "b", "t")) == 8
+
+
+def test_unknown_gate_has_no_cost():
+    class Mystery(Gate):
+        kind = "mystery"
+
+    for gate in (Mystery(), object()):
+        for model in (PAPER_COST, STRICT_COST):
+            with pytest.raises(TypeError, match="no cost"):
+                model.gate_cost(gate)
 
 
 def test_c2not_pair_fusing():

@@ -212,6 +212,28 @@ def test_rule_10_fuses_same_level_projections():
     assert apply_rule(e, 10) is None
 
 
+def test_rule_10_skips_a_repeated_literal():
+    # L0(a)L0(a) groups one variable twice: no joint factor, rule 9's site.
+    e = Expr((make_term([Proj(L, Trit(0), 0), Proj(L, Trit(0), 0)]),), 1)
+    assert apply_rule(e, 10) is None
+    # The next group still fuses.
+    e = _expr(2, [Proj(L, Trit(0), 0), Proj(L, Trit(0), 0), Proj(J, Trit(1), 0),
+                  Proj(J, Trit(1), 1)])
+    assert apply_rule(e, 10).render() == "L0(a)L0(a)J1(a,b)"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 3))
+def test_apply_rule_keeps_the_function_and_never_raises(rng, arity):
+    e = make_random_expr(rng, arity)
+    table = e.table()
+    for rule_id in RULES:
+        out = apply_rule(e, rule_id)
+        if out is not None:
+            ok, cx = expr_equiv(out, table)
+            assert ok, f"rule {rule_id}: {e.render()} -> {out.render()} differs at {cx}"
+
+
 def test_apply_rule_validates_rule_id():
     with pytest.raises(ValueError, match="rule id"):
         apply_rule(Expr((), 1), 11)

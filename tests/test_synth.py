@@ -1,5 +1,6 @@
 """Synthesis pipeline: numbers, structure, and end-to-end correctness."""
 
+import hashlib
 import importlib
 
 import pytest
@@ -21,6 +22,7 @@ from tritsynth.truthtables import (
     MultiOutputFunction,
     TernaryFunction,
     all_inputs,
+    as_multi_output,
     builtin,
     default_var_names,
     list_builtins,
@@ -29,7 +31,6 @@ from tritsynth.truthtables import (
 from conftest import make_random_expr
 
 synth_module = importlib.import_module("tritsynth.synth")
-_as_multi = synth_module._as_multi
 
 
 def _kinds(nl):
@@ -41,6 +42,22 @@ def test_every_builtin_synthesizes_and_verifies():
         rep = synth(builtin(name))
         assert rep.verified, name
         assert rep.reduced_ancilla == rep.netlist.ancilla_count
+
+
+def test_catalog_netlists_and_traces_are_pinned():
+    # One digest over every catalog netlist's JSON and every rendered rewrite
+    # trace, under both combine modes.  A deliberate change to either moves
+    # this pin and is explained where it is made.
+    h = hashlib.sha256()
+    for name in list_builtins():
+        fn = builtin(name)
+        for combine in ("max", "shared"):
+            rep = synth(fn, SynthOptions(combine=combine))
+            h.update(f"{name} {combine}\n{rep.netlist.to_json()}\n".encode())
+            for out, trace in rep.traces.items():
+                initial = minterm_extract(fn.output(out))
+                h.update(f"{out}\n{trace.render(initial, fn.var_names)}\n".encode())
+    assert h.hexdigest() == "5e8cb8653a8084d115063d3191f82382a4d6ef6dc65798415aa6bfd7f5e3f74b"
 
 
 def test_max_ancilla_values():
@@ -179,7 +196,7 @@ def _subset_product(arity, support):
 @pytest.mark.parametrize("combine", ["max", "shared"])
 def test_product_tree_verifies_and_beats_generic(combine):
     fns = [builtin(f"prod{n}") for n in (3, 4, 5)]
-    fns.append(_as_multi(_subset_product(4, (0, 2, 3))))  # a*c*d
+    fns.append(as_multi_output(_subset_product(4, (0, 2, 3))))  # a*c*d
     for fn in fns:
         rep = synth(fn, SynthOptions(combine=combine))
         assert rep.verified, fn.name
