@@ -4,13 +4,15 @@ Provides GF(3) arithmetic, min/max logic with the cyclic inverter, the four
 projection-operation families (L, J and their primed complements), and the
 six affine shift permutations that form the symmetric group on three symbols.
 Everything downstream (expressions, gates, synthesis) is built on these
-operations, so they are kept total, pure, and aggressively validated.
+operations, so they are kept total and pure.  The public functions
+validate their operands; the loops downstream call the same unchecked
+steps (`_proj`, `ShiftOp.image`) on values that are already Trits.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = [
     "Trit",
@@ -37,9 +39,17 @@ __all__ = [
 class Trit(int):
     """An integer constrained to {0, 1, 2}.
 
-    Construction rejects any other value, so a Trit held by downstream code
-    is valid by type.  Arithmetic that can wrap must reduce mod 3 explicitly;
-    the helpers below return reduced Trits.
+    There are exactly three Trit objects in a process, the ones in TRITS:
+    Trit(v) rejects anything but the ints 0, 1 and 2 with ValueError and
+    returns the interned TRITS[v], so Trit(v) is TRITS[v].  A Trit held by
+    downstream code is therefore valid by type.
+
+    Validation happens once, where a value enters from outside: the public
+    functions and constructors that take trits (proj, ShiftOp, t_and and
+    its siblings, lex_index, TernaryFunction, simulate, ...) call Trit().
+    The loops behind them index TRITS with values already known to be in
+    range and never call Trit().  Arithmetic that can wrap must reduce
+    mod 3 explicitly; the helpers below return reduced Trits.
     """
 
     __slots__ = ()
@@ -49,23 +59,23 @@ class Trit(int):
             raise ValueError(f"trit value must be an integer 0, 1 or 2, got {value!r}")
         if value not in (0, 1, 2):
             raise ValueError(f"trit value must be 0, 1 or 2, got {value}")
-        return super().__new__(cls, value)
+        return TRITS[value]
 
     def __repr__(self) -> str:
         return f"Trit({int(self)})"
 
 
-TRITS: tuple[Trit, Trit, Trit] = (Trit(0), Trit(1), Trit(2))
+TRITS: tuple[Trit, Trit, Trit] = tuple(int.__new__(Trit, v) for v in range(3))
 
 
 def t_and(a: int, b: int) -> Trit:
     """Ternary AND: minimum of the two operands."""
-    return TRITS[min(Trit(a), Trit(b))]
+    return min(Trit(a), Trit(b))
 
 
 def t_or(a: int, b: int) -> Trit:
     """Ternary OR: maximum of the two operands."""
-    return TRITS[max(Trit(a), Trit(b))]
+    return max(Trit(a), Trit(b))
 
 
 def t_not(a: int) -> Trit:
@@ -136,9 +146,12 @@ def proj(family: ProjFamily, level: int, a: int) -> Trit:
     Unprimed families fire when a == level, primed families when a != level;
     firing yields the family's active value (1 for L-kind, 2 for J-kind).
     """
-    lvl = Trit(level)
-    val = Trit(a)
-    fired = (val != lvl) if family.primed else (val == lvl)
+    return _proj(family, Trit(level), Trit(a))
+
+
+def _proj(family: ProjFamily, level: int, a: int) -> Trit:
+    """proj without the operand checks, for level and a already valid."""
+    fired = (a != level) if family.primed else (a == level)
     return family.active_value if fired else TRITS[0]
 
 
@@ -148,31 +161,33 @@ class ShiftOp:
 
     mult must be 1 or 2 (the invertible GF(3) scalars), so every ShiftOp is a
     bijection.  The six possible operations form the full permutation group
-    on {0, 1, 2}; display names for the six appear via .name.
+    on {0, 1, 2}; display names for the six appear via .name.  image[x] is
+    the shifted value of x, the unchecked step that gates apply to wire
+    values; apply(x) checks x first.
     """
 
     mult: Trit
     add: Trit
+    image: tuple[Trit, Trit, Trit] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mult", Trit(self.mult))
         object.__setattr__(self, "add", Trit(self.add))
         if self.mult == 0:
             raise ValueError("shift mult must be 1 or 2, got 0 (not invertible)")
+        image = tuple(TRITS[(self.mult * x + self.add) % 3] for x in range(3))
+        object.__setattr__(self, "image", image)
 
     def apply(self, x: int) -> Trit:
-        return TRITS[(self.mult * Trit(x) + self.add) % 3]
+        return self.image[Trit(x)]
 
     def compose(self, inner: "ShiftOp") -> "ShiftOp":
         """The shift equivalent to applying `inner` first, then self."""
-        return ShiftOp(
-            Trit(self.mult * inner.mult % 3),
-            Trit((self.mult * inner.add + self.add) % 3),
-        )
+        return ShiftOp(self.mult * inner.mult % 3, (self.mult * inner.add + self.add) % 3)
 
     def inverse(self) -> "ShiftOp":
         # mult is self-inverse in GF(3): 1*1 = 2*2 = 1.
-        return ShiftOp(self.mult, Trit((-self.mult * self.add) % 3))
+        return ShiftOp(self.mult, (-self.mult * self.add) % 3)
 
     @property
     def name(self) -> str:
@@ -182,12 +197,12 @@ class ShiftOp:
         return self.name
 
 
-BUFFER = ShiftOp(Trit(1), Trit(0))
-SINGLE_SHIFT = ShiftOp(Trit(1), Trit(1))
-DUAL_SHIFT = ShiftOp(Trit(1), Trit(2))
-SELF_SHIFT = ShiftOp(Trit(2), Trit(0))
-SELF_SINGLE_SHIFT = ShiftOp(Trit(2), Trit(1))
-SELF_DUAL_SHIFT = ShiftOp(Trit(2), Trit(2))
+BUFFER = ShiftOp(1, 0)
+SINGLE_SHIFT = ShiftOp(1, 1)
+DUAL_SHIFT = ShiftOp(1, 2)
+SELF_SHIFT = ShiftOp(2, 0)
+SELF_SINGLE_SHIFT = ShiftOp(2, 1)
+SELF_DUAL_SHIFT = ShiftOp(2, 2)
 
 ALL_SHIFTS: tuple[ShiftOp, ...] = (
     BUFFER,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .core import TRITS, ProjFamily, Trit, proj
+from .core import TRITS, ProjFamily, Trit, _proj
 from .truthtables import TernaryFunction, all_inputs, default_var_names, first_difference
 
 __all__ = [
@@ -47,7 +47,7 @@ class Proj:
             raise ValueError(f"variable index must be >= 0, got {self.var}")
 
     def value(self, assignment: Sequence[int]) -> int:
-        return proj(self.family, self.level, assignment[self.var])
+        return _proj(self.family, self.level, assignment[self.var])
 
     def vars_used(self) -> tuple[int, ...]:
         return (self.var,)
@@ -265,7 +265,7 @@ class Expr:
             raise ValueError(
                 f"expression over {self.arity} variables, got {len(assignment)} values"
             )
-        return _max_of_terms(self.terms, assignment)
+        return _max_of_terms(self.terms, tuple(Trit(v) for v in assignment))
 
     def table(self, name: str = "expr") -> TernaryFunction:
         return TernaryFunction(name, self.arity, sop_column(self.terms, self.arity))

@@ -12,11 +12,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 
-from .core import SINGLE_SHIFT, ShiftOp, Trit, shift_by_name
+from .core import SINGLE_SHIFT, TRITS, ShiftOp, Trit, shift_by_name
 
 
 class Gate:
-    """Base class; concrete gates implement apply() on a wire-value dict."""
+    """Base class; concrete gates implement apply() on a wire-value dict.
+
+    apply() trusts the dict: every value in it is already a Trit (the
+    simulator checks inputs and ancilla values once per call), so gates
+    index TRITS and ShiftOp.image instead of re-validating on every row."""
 
     kind = "gate"
     reversible = True
@@ -60,7 +64,7 @@ class MSGate(Gate):
 
     def apply(self, state):
         if state[self.control] == 2:
-            state[self.target] = SINGLE_SHIFT.apply(state[self.target])
+            state[self.target] = SINGLE_SHIFT.image[state[self.target]]
 
 
 @dataclass(frozen=True)
@@ -78,7 +82,7 @@ class Feynman(Gate):
         return (self.control, self.target)
 
     def apply(self, state):
-        state[self.target] = Trit((state[self.control] + state[self.target]) % 3)
+        state[self.target] = TRITS[(state[self.control] + state[self.target]) % 3]
 
 
 @dataclass(frozen=True)
@@ -98,7 +102,7 @@ class Toffoli(Gate):
 
     def apply(self, state):
         if state[self.control_a] == 2 and state[self.control_b] == 2:
-            state[self.target] = SINGLE_SHIFT.apply(state[self.target])
+            state[self.target] = SINGLE_SHIFT.image[state[self.target]]
 
 
 def _validate_shifts(shifts):
@@ -128,7 +132,7 @@ class GTG(Gate):
 
     def apply(self, state):
         op = self.shifts[state[self.control]]
-        state[self.target] = op.apply(state[self.target])
+        state[self.target] = op.image[state[self.target]]
 
 
 @dataclass(frozen=True)
@@ -153,7 +157,7 @@ class MultiGTG(Gate):
     def apply(self, state):
         v = state[self.controls[0]]
         if all(state[c] == v for c in self.controls[1:]):
-            state[self.target] = self.shifts[v].apply(state[self.target])
+            state[self.target] = self.shifts[v].image[state[self.target]]
 
 
 @dataclass(frozen=True)
@@ -172,9 +176,8 @@ class C2NOT(Gate):
         return (self.control_a, self.control_b, self.target)
 
     def apply(self, state):
-        a, b = state[self.control_a], state[self.control_b]
-        if {int(a), int(b)} == {1, 2}:
-            state[self.target] = SINGLE_SHIFT.apply(state[self.target])
+        if (state[self.control_a], state[self.control_b]) in ((1, 2), (2, 1)):
+            state[self.target] = SINGLE_SHIFT.image[state[self.target]]
 
 
 @dataclass(frozen=True)
@@ -269,7 +272,8 @@ class Netlist:
     """Wires, gates, and designated outputs.
 
     input_names are free wires; ancilla_init maps ancilla wires to their
-    fixed starting trit.  outputs maps result names to wire names.
+    fixed starting trit (checked here and in add_ancilla).  outputs maps
+    result names to wire names.
     """
 
     input_names: tuple[str, ...]
@@ -281,10 +285,14 @@ class Netlist:
         seen = set(self.input_names)
         if len(seen) != len(self.input_names):
             raise ValueError("duplicate input names")
-        for w in self.ancilla_init:
+        for w, v in self.ancilla_init.items():
             if w in seen:
                 raise ValueError(f"ancilla name collides with input: {w}")
             seen.add(w)
+            try:
+                self.ancilla_init[w] = Trit(v)
+            except ValueError as exc:
+                raise ValueError(f"ancilla {w!r}: {exc}") from None
 
     def all_wires(self):
         return tuple(self.input_names) + tuple(self.ancilla_init)
@@ -336,12 +344,12 @@ class Netlist:
         for key, shape in (("ancillas", dict), ("gates", list), ("outputs", dict)):
             if not isinstance(doc[key], shape):
                 raise ValueError(f"netlist {key!r} must be a JSON {'object' if shape is dict else 'list'}")
-        ancillas, gates, outputs = doc["ancillas"], doc["gates"], doc["outputs"]
-        try:
-            init = {w: Trit(v) for w, v in ancillas.items()}
-        except ValueError as exc:
-            raise ValueError(f"netlist 'ancillas': {exc}") from None
-        nl = cls(input_names=tuple(doc["inputs"]), ancilla_init=init, outputs=dict(outputs))
+        gates, outputs = doc["gates"], doc["outputs"]
+        nl = cls(
+            input_names=tuple(doc["inputs"]),
+            ancilla_init=dict(doc["ancillas"]),
+            outputs=dict(outputs),
+        )
         for i, gd in enumerate(gates):
             try:
                 nl.append(gate_from_dict(gd))

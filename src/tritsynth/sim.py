@@ -3,7 +3,9 @@
 Simulation walks the gate list over a wire-value dict.  Verification
 compares a netlist against a reference function on every input
 assignment; register widths here are small enough that nothing cleverer
-is warranted.
+is warranted.  Both entry points check the ancilla values once per
+call; simulate also checks its inputs, while exhaustive_check feeds the
+rows of all_inputs, which are Trits already, straight to the gates.
 """
 
 from __future__ import annotations
@@ -35,26 +37,38 @@ def simulate(netlist, inputs) -> SimResult:
     inputs is either a sequence ordered like netlist.input_names or a
     mapping from input name to value.
     """
+    names = netlist.input_names
     if isinstance(inputs, dict):
-        assignment = {name: Trit(inputs[name]) for name in netlist.input_names}
-        if len(inputs) != len(netlist.input_names):
-            extra = set(inputs) - set(netlist.input_names)
+        missing = [name for name in names if name not in inputs]
+        if missing:
+            raise ValueError(f"missing input wires: {missing}")
+        extra = set(inputs) - set(names)
+        if extra:
             raise ValueError(f"unexpected input wires: {sorted(extra)}")
+        vals = tuple(inputs[name] for name in names)
     else:
         vals = tuple(inputs)
-        if len(vals) != len(netlist.input_names):
-            raise ValueError(
-                f"expected {len(netlist.input_names)} inputs, got {len(vals)}"
-            )
-        assignment = {n: Trit(v) for n, v in zip(netlist.input_names, vals)}
-
-    state = dict(assignment)
-    for wire, init in netlist.ancilla_init.items():
-        state[wire] = init
-    for gate in netlist.gates:
-        gate.apply(state)
+        if len(vals) != len(names):
+            raise ValueError(f"expected {len(names)} inputs, got {len(vals)}")
+    state = _run(netlist, _ancillas(netlist), tuple(Trit(v) for v in vals))
     outputs = {name: state[wire] for name, wire in netlist.outputs.items()}
     return SimResult(outputs=outputs, state=state)
+
+
+def _ancillas(netlist):
+    """The ancilla start values, checked again: ancilla_init is a plain
+    dict that callers may have written to since Netlist checked it."""
+    return {wire: Trit(v) for wire, v in netlist.ancilla_init.items()}
+
+
+def _run(netlist, ancillas, row):
+    """Wire values after the gates run on row (Trits ordered like
+    netlist.input_names) and the given ancilla values; checks nothing."""
+    state = dict(zip(netlist.input_names, row))
+    state.update(ancillas)
+    for gate in netlist.gates:
+        gate.apply(state)
+    return state
 
 
 @dataclass(frozen=True)
@@ -106,12 +120,16 @@ def exhaustive_check(netlist, fn) -> CheckResult:
             f"arity mismatch: netlist has {len(netlist.input_names)} inputs, "
             f"reference has {fn.arity}"
         )
-    columns = [(net, fn.output(ref).values) for net, ref in _output_pairs(netlist, fn)]
+    columns = [
+        (net, netlist.outputs[net], fn.output(ref).values)
+        for net, ref in _output_pairs(netlist, fn)
+    ]
+    ancillas = _ancillas(netlist)
     for index, row in enumerate(all_inputs(fn.arity)):
-        res = simulate(netlist, row)
-        for net_name, values in columns:
+        state = _run(netlist, ancillas, row)
+        for net_name, wire, values in columns:
             want = values[index]
-            got = res.outputs[net_name]
+            got = state[wire]
             if got != want:
                 return CheckResult(
                     ok=False,

@@ -248,7 +248,7 @@ def _rule_7_sites(t: Term):
 
 def _rule_7_build(t: Term, site: tuple[Proj, Trit]) -> Term:
     f, other = site
-    missing = Trit(3 - int(f.level) - int(other))
+    missing = TRITS[3 - f.level - other]
     return make_term(_without(t.factors, f) + [Proj(f.family.complement, missing, f.var)])
 
 

@@ -35,7 +35,6 @@ from .core import (
     SINGLE_SHIFT,
     ProjFamily,
     ShiftOp,
-    Trit,
 )
 from .expr import Const, Expr, Fused, Pair, Proj, Term, minterm_extract, sop_column
 from .gates import (
@@ -274,7 +273,7 @@ def _emit_linear(nl, c, lams, claimed, later_reads):
         dummy = next((n for n in names if n != w), None)
         if dummy is None:
             dummy = nl.add_ancilla("anc", 0)
-        bump = ShiftOp(Trit(1), c)
+        bump = ShiftOp(1, c)
         nl.append(GTG(dummy, w, (bump, bump, bump)))
     return w
 

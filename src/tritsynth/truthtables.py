@@ -86,7 +86,11 @@ class TernaryFunction:
                 f"function {self.name!r} of arity {self.arity} needs {expect} "
                 f"table entries, got {len(self.values)}"
             )
-        object.__setattr__(self, "values", tuple(Trit(v) for v in self.values))
+        values = tuple(self.values)
+        # Every Trit is valid by type (see Trit), so only other values need Trit().
+        if set(map(type, values)) != {Trit}:
+            values = tuple(Trit(v) for v in values)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_callable(cls, name: str, arity: int, fn: Callable[..., int]) -> "TernaryFunction":
@@ -289,7 +293,7 @@ def linear_detect(f: TernaryFunction) -> Optional[tuple[Trit, tuple[Trit, ...]]]
     )
     if column != f.values:
         return None
-    return Trit(c), tuple(Trit(v) for v in lam)
+    return TRITS[c], tuple(TRITS[v] for v in lam)
 
 
 def monomial_detect(f: TernaryFunction) -> Optional[tuple[int, ...]]:

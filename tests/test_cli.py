@@ -138,8 +138,12 @@ def test_corrupt_netlist_json_is_input_error(tmp_path, capsys):
             '{"inputs": ["a", "b"], "ancillas": {}, "gates": [], "outputs": {"sum2": "zz"}}',
             "output 'sum2' names unknown wire 'zz'",
         ),
+        (
+            '{"inputs": ["a", "b"], "ancillas": {"t": 5}, "gates": [], "outputs": {"sum2": "t"}}',
+            "ancilla 't': trit value must be 0, 1 or 2, got 5",
+        ),
     ],
-    ids=["top-level-list", "gate-missing-field", "output-unknown-wire"],
+    ids=["top-level-list", "gate-missing-field", "output-unknown-wire", "ancilla-not-a-trit"],
 )
 def test_malformed_netlist_json_is_input_error(tmp_path, capsys, doc, message):
     nl = tmp_path / "bad.json"

@@ -15,6 +15,7 @@ from tritsynth.core import (
     SELF_SHIFT,
     SELF_SINGLE_SHIFT,
     SINGLE_SHIFT,
+    TRITS,
     Trit,
     shift_by_name,
 )
@@ -177,6 +178,10 @@ def test_netlist_validation():
         Netlist(input_names=("a", "a"))
     with pytest.raises(ValueError, match="collides"):
         Netlist(input_names=("a",), ancilla_init={"a": Trit(0)})
+    for bad in (3, -1, 1.0, True):
+        with pytest.raises(ValueError, match="ancilla 'x': trit value"):
+            Netlist(input_names=("a",), ancilla_init={"x": bad})
+    assert Netlist(input_names=("a",), ancilla_init={"x": 2}).ancilla_init["x"] is TRITS[2]
     nl = Netlist(input_names=("a",))
     with pytest.raises(ValueError, match="unknown wires"):
         nl.append(MSGate("a", "ghost"))

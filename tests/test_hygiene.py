@@ -1,6 +1,8 @@
-"""Source hygiene: every module under src/tritsynth uses what it imports.
+"""Source hygiene for the modules under src/tritsynth.
 
-__init__.py is exempt because its imports are re-exports.
+Every module uses what it imports (__init__.py is exempt because its
+imports are re-exports), and only the boundary functions that take trits
+from outside call Trit().
 """
 
 import ast
@@ -45,3 +47,74 @@ def test_package_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# The functions through which trit values enter the package.  Trit() checks
+# a value; everything behind these functions works on values that are
+# already Trits and indexes TRITS, so a Trit() call anywhere else is a
+# check repeated on every row of some loop.
+TRIT_BOUNDARIES = {
+    "core.t_and",
+    "core.t_or",
+    "core.t_not",
+    "core.gf3_add",
+    "core.gf3_mul",
+    "core.proj",
+    "core.ShiftOp.__post_init__",
+    "core.ShiftOp.apply",
+    "expr.Proj.__post_init__",
+    "expr.Fused.__post_init__",
+    "expr.Const.__post_init__",
+    "expr.Expr.eval",
+    "gates.Netlist.__post_init__",
+    "gates.Netlist.add_ancilla",
+    "sim.simulate",
+    "sim._ancillas",
+    "truthtables.lex_index",
+    "truthtables.TernaryFunction.__post_init__",
+    "truthtables.TernaryFunction.from_string",
+}
+
+
+def trit_callers(source, module):
+    """Qualified names (module.Class.function) of the scopes that call Trit()."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Name) and func.id == "Trit") or (
+                    isinstance(func, ast.Attribute) and func.attr == "Trit"
+                ):
+                    found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), (module,))
+    return found
+
+
+def test_scan_finds_trit_calls_by_scope():
+    source = (
+        "X = Trit(0)\n"
+        "def f(v):\n"
+        "    return [core.Trit(w) for w in v]\n"
+        "class C:\n"
+        "    def g(self, v):\n"
+        "        return isinstance(v, Trit) and TRITS[v]\n"
+        "    def h(self, v):\n"
+        "        def inner():\n"
+        "            return Trit(v)\n"
+    )
+    assert trit_callers(source, "m") == {"m", "m.f", "m.C.h.inner"}
+
+
+def test_only_boundary_functions_call_trit():
+    found = set()
+    for path in MODULES:
+        found |= trit_callers(path.read_text(), path.stem)
+    assert found - TRIT_BOUNDARIES == set(), "Trit() outside the boundary functions"
+    assert TRIT_BOUNDARIES - found == set(), "stale TRIT_BOUNDARIES entries"

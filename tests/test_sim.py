@@ -38,6 +38,19 @@ def test_simulate_validates_inputs():
         simulate(nl, {"a": 1, "b": 2, "zz": 0})
     with pytest.raises(ValueError):
         simulate(nl, (1, 7))
+    # Wire names are checked before any value is read.
+    for partial in ({"a": 1}, {"a": 1, "zz": 0}, {"a": 7}):
+        with pytest.raises(ValueError, match=r"missing input wires: \['b'\]"):
+            simulate(nl, partial)
+
+
+def test_ancilla_values_written_after_construction_are_checked():
+    nl = _feynman_netlist()
+    nl.ancilla_init["anc0"] = 5
+    with pytest.raises(ValueError, match="got 5"):
+        simulate(nl, (1, 2))
+    with pytest.raises(ValueError, match="got 5"):
+        exhaustive_check(nl, builtin("sum2"))
 
 
 def test_exhaustive_check_accepts_correct_netlist():
