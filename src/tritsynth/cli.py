@@ -26,7 +26,6 @@ from .sim import VerificationError, exhaustive_check
 from .simplify import simplify
 from .synth import SynthOptions, synth
 from .truthtables import (
-    TruthTableFormatError,
     builtin,
     format_truth_table,
     list_builtins,
@@ -170,7 +169,7 @@ def _add_synth_options(sp):
 def build_parser():
     p = argparse.ArgumentParser(
         prog="tritsynth",
-        description="Synthesize reversible ternary netlists from truth tables.",
+        description="Synthesize ternary controlled-shift netlists from truth tables.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -220,9 +219,6 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except TruthTableFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -25,7 +25,6 @@ __all__ = [
     "Term",
     "Expr",
     "make_term",
-    "make_pair",
     "factor_key",
     "minterm_extract",
     "expr_equiv",
@@ -158,10 +157,6 @@ class Const:
     def vars_used(self) -> tuple[int, ...]:
         return ()
 
-    @property
-    def base_family(self) -> Optional[ProjFamily]:
-        return None
-
     def render(self, names: Sequence[str]) -> str:
         return str(int(self.value_))
 
@@ -220,10 +215,6 @@ class Term:
 def make_term(factors: Sequence[Factor]) -> Term:
     """Build a term with factors in canonical order."""
     return Term(tuple(sorted(factors, key=factor_key)))
-
-
-def make_pair(family: ProjFamily, u: int, v: int) -> Pair:
-    return Pair(family, min(u, v), max(u, v))
 
 
 def _max_of_terms(terms: Sequence[Term], assignment: Sequence[int]) -> Trit:

@@ -16,7 +16,8 @@ from .core import SINGLE_SHIFT, TRITS, ShiftOp, Trit, shift_by_name
 
 
 class Gate:
-    """Base class; concrete gates implement apply() on a wire-value dict.
+    """Base class; concrete gates implement wires() and apply(state),
+    which updates a wire-value dict in place.
 
     apply() trusts the dict: every value in it is already a Trit (the
     simulator checks inputs and ancilla values once per call), so gates
@@ -24,12 +25,6 @@ class Gate:
 
     kind = "gate"
     reversible = True
-
-    def wires(self):
-        raise NotImplementedError
-
-    def apply(self, state):
-        raise NotImplementedError
 
     def _check_distinct(self):
         ws = list(self.wires())

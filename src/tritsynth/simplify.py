@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .core import TRITS, ProjFamily, Trit
-from .expr import Const, Expr, Factor, Fused, Proj, Term, make_pair, make_term, sop_column
+from .expr import Const, Expr, Factor, Fused, Pair, Proj, Term, make_term, sop_column
 from .truthtables import default_var_names, first_difference
 
 __all__ = [
@@ -268,7 +268,7 @@ def _rule_8_sites(t: Term):
 
 def _rule_8_build(t: Term, site: tuple[Proj, Proj]) -> Term:
     fu, fv = site
-    return make_term(_without(t.factors, fu, fv) + [make_pair(fu.family, fu.var, fv.var)])
+    return make_term(_without(t.factors, fu, fv) + [Pair(fu.family, fu.var, fv.var)])
 
 
 def _rule_9(t: Term) -> Optional[tuple[Term, ...]]:
@@ -311,9 +311,9 @@ RULES: dict[int, RewriteRule] = {
 }
 
 # Cleanup and annihilation first, then the term-pair fusions (8, 10), and the
-# level contraction (7) last.  Running 7 any earlier eats the crossed pairs
-# and level groups that 8 and 10 exist to recognize, which changes the
-# canonical reduced forms of the two-variable benchmark functions.
+# level contraction (7) last.  Measured on the nine two-input catalog outputs:
+# moving 7 before 8 changes the reduced forms of avg2, sqsum2, carryh and
+# g_example; moving it only before 10 changes g_example alone.
 PRIORITY: tuple[int, ...] = (1, 3, 9, 5, 2, 6, 4, 8, 10, 7)
 
 

@@ -13,7 +13,6 @@ factor-by-factor mapping onto controlled shift gates:
   primed projection                   two MultiGTGs, one per firing level
   crossed pair, 1-valued              one C2NOT
   crossed pair, 2-valued              two C2NOTs
-  constant                            ancilla initialized to the constant
 
 Multi-factor terms collect their factor wires through a MIN into an
 ancilla started at 2; terms are then OR-combined by chaining MAX gates
@@ -36,7 +35,7 @@ from .core import (
     ProjFamily,
     ShiftOp,
 )
-from .expr import Const, Expr, Fused, Pair, Proj, Term, minterm_extract, sop_column
+from .expr import Expr, Fused, Pair, Proj, Term, minterm_extract, sop_column
 from .gates import (
     C2NOT,
     COST_MODELS,
@@ -123,10 +122,12 @@ def _buffer_profile(family, level):
 def _emit_factor_gates(nl, factor, var_names, target, profile):
     """Append the gates that add the factor's value onto target.
 
-    target must hold 0 whenever any of these gates fires.  profile
-    picks the idle shifts of the MultiGTGs: "standard" parks SelfShift
-    on the second idle level, "buffer" keeps every idle level inert and
-    is required whenever the target wire is shared with other firings.
+    factor is a Proj, Fused or Pair: simplify leaves no Const factor in
+    a non-affine output's expression.  target must hold 0 whenever any
+    of these gates fires.  profile picks the idle shifts of the
+    MultiGTGs: "standard" parks SelfShift on the second idle level,
+    "buffer" keeps every idle level inert and is required whenever the
+    target wire is shared with other firings.
     """
     if isinstance(factor, (Proj, Fused)):
         controls = tuple(var_names[v] for v in factor.vars_used())
@@ -141,20 +142,14 @@ def _emit_factor_gates(nl, factor, var_names, target, profile):
             base = fam.base
             for lv in ((factor.level + 1) % 3, (factor.level + 2) % 3):
                 nl.append(MultiGTG(controls, target, _buffer_profile(base, lv)))
-    elif isinstance(factor, Pair):
+    else:
         wa, wb = var_names[factor.var_a], var_names[factor.var_b]
         nl.append(C2NOT(wa, wb, target))
         if factor.family is ProjFamily.J:
             nl.append(C2NOT(wa, wb, target))
-    elif isinstance(factor, Const):
-        raise ValueError("constants carry no gates; initialize an ancilla instead")
-    else:
-        raise TypeError(f"cannot map factor {factor!r}")
 
 
 def _emit_factor(nl, factor, var_names):
-    if isinstance(factor, Const):
-        return nl.add_ancilla("anc", factor.value_)
     anc = nl.add_ancilla("anc", 0)
     _emit_factor_gates(nl, factor, var_names, anc, "standard")
     return anc
@@ -170,8 +165,6 @@ def _emit_term(nl, term, var_names):
 
 
 def _emit_expr_max(nl, expr, var_names):
-    if not expr.terms:
-        return nl.add_ancilla("anc", 0)
     term_wires = [_emit_term(nl, t, var_names) for t in expr.terms]
     acc = term_wires[0]
     for w in term_wires[1:]:
@@ -182,18 +175,12 @@ def _emit_expr_max(nl, expr, var_names):
 def _emit_expr_shared(nl, expr, var_names):
     """One accumulator for the whole expression, or None if unsafe.
 
-    Safe only when every term is a single non-constant factor and no
-    two terms fire on the same assignment, so each firing writes the
-    term's value onto a wire that still holds 0.
+    Safe only when every term is a single factor and no two terms fire
+    on the same assignment, so each firing writes the term's value onto
+    a wire that still holds 0.
     """
     terms = expr.terms
-    if not terms:
-        return nl.add_ancilla("anc", 0)
     if any(len(t.factors) != 1 for t in terms):
-        return None
-    if len(terms) == 1 and isinstance(terms[0].factors[0], Const):
-        return nl.add_ancilla("anc", terms[0].factors[0].value_)
-    if any(isinstance(t.factors[0], Const) for t in terms):
         return None
     fired: set[int] = set()
     for t in terms:

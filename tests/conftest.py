@@ -5,7 +5,7 @@ import random
 import pytest
 
 from tritsynth.core import ProjFamily, Trit
-from tritsynth.expr import Const, Expr, Fused, Proj, make_pair, make_term
+from tritsynth.expr import Const, Expr, Fused, Pair, Proj, make_term
 
 _FAMILIES = tuple(ProjFamily)
 _UNPRIMED = (ProjFamily.L, ProjFamily.J)
@@ -28,7 +28,7 @@ def make_random_expr(rng: random.Random, arity: int) -> Expr:
                 factors.append(Fused(rng.choice(_UNPRIMED), Trit(rng.randrange(3)), fused_vars))
             elif roll < 0.85:
                 u, v = rng.sample(range(arity), 2)
-                factors.append(make_pair(rng.choice(_UNPRIMED), u, v))
+                factors.append(Pair(rng.choice(_UNPRIMED), u, v))
             else:
                 factors.append(Const(Trit(rng.randrange(3))))
         terms.append(make_term(factors))

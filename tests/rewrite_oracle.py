@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from tritsynth.core import TRITS, ProjFamily, Trit
-from tritsynth.expr import Const, Expr, Factor, Fused, Proj, Term, make_pair, make_term
+from tritsynth.expr import Const, Expr, Factor, Fused, Pair, Proj, Term, make_term
 from tritsynth.simplify import PRIORITY, RewriteStep, _apply_step
 
 _L = ProjFamily.L
@@ -164,7 +164,7 @@ def _find_rule_8(terms: list[Term]) -> Optional[RewriteStep]:
         if best is not None:
             j, fu, fv = best
             fused = make_term(
-                _without(t.factors, fu, fv) + [make_pair(fu.family, fu.var, fv.var)]
+                _without(t.factors, fu, fv) + [Pair(fu.family, fu.var, fv.var)]
             )
             return RewriteStep(8, i, j, (fused,))
     return None

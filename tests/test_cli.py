@@ -1,11 +1,13 @@
 """CLI flows, invoked in process through main()."""
 
 import hashlib
+import importlib
 import json
 
 import pytest
 
-from tritsynth.cli import main
+from tritsynth.cli import EXIT_VERIFY, main
+from tritsynth.core import DUAL_SHIFT, SINGLE_SHIFT, ProjFamily
 
 
 def _sha256(text):
@@ -111,6 +113,35 @@ def test_malformed_table_is_input_error(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("vars a b\n", "line 2: expected `outputs <k>`"),
+        ("vars a b\noutputs 0\n", "line 2: output count must be >= 1"),
+        ("vars a a\noutputs 1\n012111212\n", "line 1: function 'bad': variable names must be distinct"),
+    ],
+    ids=["no-outputs-line", "zero-outputs", "repeated-variable"],
+)
+def test_malformed_table_header_names_the_line(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.tt"
+    bad.write_text(text)
+    rc = main(["synth", str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"error: {message}" in err
+
+
+def test_netlist_failing_its_check_exits_3(monkeypatch, capsys):
+    # Swap the firing shifts so every 1-valued factor writes a 2.
+    synth_module = importlib.import_module("tritsynth.synth")
+    monkeypatch.setattr(
+        synth_module, "_FIRE", {ProjFamily.L: DUAL_SHIFT, ProjFamily.J: SINGLE_SHIFT}
+    )
+    rc = main(["synth", "prod2"])
+    assert rc == EXIT_VERIFY
+    assert "verification failed: netlist for 'prod2' failed:" in capsys.readouterr().err
+
+
 def test_missing_netlist_file_is_input_error(tmp_path, capsys):
     rc = main(["verify", str(tmp_path / "nope.json"), "sum2"])
     assert rc == 2
@@ -142,8 +173,28 @@ def test_corrupt_netlist_json_is_input_error(tmp_path, capsys):
             '{"inputs": ["a", "b"], "ancillas": {"t": 5}, "gates": [], "outputs": {"sum2": "t"}}',
             "ancilla 't': trit value must be 0, 1 or 2, got 5",
         ),
+        (
+            '{"inputs": "ab", "ancillas": {}, "gates": [], "outputs": {}}',
+            "netlist 'inputs' must be a list of names",
+        ),
+        (
+            '{"inputs": ["a", "b"], "ancillas": [], "gates": [], "outputs": {}}',
+            "netlist 'ancillas' must be a JSON object",
+        ),
+        (
+            '{"inputs": ["a", "b"], "ancillas": {}, "gates": {}, "outputs": {}}',
+            "netlist 'gates' must be a JSON list",
+        ),
     ],
-    ids=["top-level-list", "gate-missing-field", "output-unknown-wire", "ancilla-not-a-trit"],
+    ids=[
+        "top-level-list",
+        "gate-missing-field",
+        "output-unknown-wire",
+        "ancilla-not-a-trit",
+        "inputs-not-names",
+        "ancillas-not-an-object",
+        "gates-not-a-list",
+    ],
 )
 def test_malformed_netlist_json_is_input_error(tmp_path, capsys, doc, message):
     nl = tmp_path / "bad.json"

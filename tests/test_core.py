@@ -159,6 +159,8 @@ def test_shift_inverse():
 
 
 def test_shift_names_round_trip():
+    assert [str(s) for s in ALL_SHIFTS] == [s.name for s in ALL_SHIFTS]
+    assert str(SELF_DUAL_SHIFT) == "SelfDualShift"
     names = {s.name for s in ALL_SHIFTS}
     assert names == {
         "Buffer",

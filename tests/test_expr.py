@@ -14,7 +14,6 @@ from tritsynth.expr import (
     Pair,
     Proj,
     expr_equiv,
-    make_pair,
     make_term,
     minterm_extract,
     sop_column,
@@ -66,7 +65,7 @@ def test_pair_firing_set():
 
 
 def test_pair_is_symmetric_and_normalized():
-    assert make_pair(L, 1, 0) == Pair(L, 0, 1)
+    assert Pair(L, 1, 0) == Pair(L, 0, 1)
     assert Pair(J, 2, 0) == Pair(J, 0, 2)
     with pytest.raises(ValueError, match="distinct"):
         Pair(L, 1, 1)
@@ -107,6 +106,17 @@ def test_expr_eval_is_max_and_empty_is_zero():
 def test_expr_rejects_out_of_range_variables():
     with pytest.raises(ValueError, match="outside arity"):
         Expr((make_term([Proj(L, Trit(0), 3)]),), 2)
+    with pytest.raises(ValueError, match="arity must be >= 1, got 0"):
+        Expr((), 0)
+
+
+def test_factors_reject_negative_variable_indices():
+    with pytest.raises(ValueError, match="variable index must be >= 0, got -1"):
+        Proj(L, Trit(0), -1)
+    with pytest.raises(ValueError, match=r"variable index must be >= 0: \(-1, 0\)"):
+        Fused(L, Trit(0), (0, -1))
+    with pytest.raises(ValueError, match="variable index must be >= 0"):
+        Pair(J, -1, 0)
 
 
 def test_expr_eval_checks_assignment_length():

@@ -157,11 +157,15 @@ def test_wires_must_be_distinct():
         Toffoli("a", "b", "a")
     with pytest.raises(ValueError, match="distinct"):
         MaxGate(("a", "b"), "b")
+    with pytest.raises(ValueError, match="need at least one input"):
+        MinGate((), "t")
 
 
 def test_gtg_needs_exactly_three_shifts():
     with pytest.raises(ValueError, match="one shift per control value"):
         GTG("c", "t", (BUFFER, BUFFER))
+    with pytest.raises(TypeError, match="not a shift: 'Buffer'"):
+        GTG("c", "t", (BUFFER, "Buffer", BUFFER))
     with pytest.raises(ValueError):
         MultiGTG((), "t", (BUFFER, BUFFER, BUFFER))
 

@@ -1,14 +1,17 @@
 """Source hygiene for the modules under src/tritsynth.
 
 Every module uses what it imports (__init__.py is exempt because its
-imports are re-exports), and only the boundary functions that take trits
-from outside call Trit().
+imports are re-exports), only the boundary functions that take trits
+from outside call Trit(), and each snippet on the coverage probe's
+allow-list names exactly one place in the source.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from coverage_probe import ALLOWED
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "tritsynth"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -118,3 +121,9 @@ def test_only_boundary_functions_call_trit():
         found |= trit_callers(path.read_text(), path.stem)
     assert found - TRIT_BOUNDARIES == set(), "Trit() outside the boundary functions"
     assert TRIT_BOUNDARIES - found == set(), "stale TRIT_BOUNDARIES entries"
+
+
+@pytest.mark.parametrize("snippet", sorted(ALLOWED))
+def test_coverage_allow_list_snippet_occurs_once(snippet):
+    sources = [p.read_text() for p in PACKAGE.glob("*.py")]
+    assert sum(s.count(snippet) for s in sources) == 1

@@ -20,7 +20,6 @@ from tritsynth.expr import (
     Pair,
     Proj,
     expr_equiv,
-    make_pair,
     make_term,
     minterm_extract,
 )
@@ -29,6 +28,7 @@ from tritsynth.simplify import (
     RULES,
     RewriteSoundnessError,
     RewriteStep,
+    RewriteTrace,
     _apply_step,
     _unsound_at,
     apply_rule,
@@ -323,6 +323,13 @@ def test_trace_replay_reproduces_result(random_expr):
         e = random_expr(rng, rng.randint(1, 3))
         reduced, trace = simplify(e)
         assert replay(e, trace) == reduced
+
+
+def test_replay_rejects_a_partner_before_its_index():
+    initial = minterm_extract(builtin("mul2").output("mul2"))
+    step = RewriteStep(8, 1, 0, ())
+    with pytest.raises(ValueError, match="step partner must come after its index"):
+        replay(initial, RewriteTrace((step,)))
 
 
 def test_trace_render_mentions_rules_and_terms():

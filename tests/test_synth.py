@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tritsynth.core import Trit
-from tritsynth.expr import Const, Expr, make_term, minterm_extract
+from tritsynth.core import ProjFamily, Trit
+from tritsynth.expr import Const, Expr, Proj, make_term, minterm_extract
 from tritsynth.gates import PAPER_COST, Feynman, Netlist
 from tritsynth.sim import VerificationError, exhaustive_check, simulate
 from tritsynth.synth import (
@@ -25,6 +25,7 @@ from tritsynth.truthtables import (
     as_multi_output,
     builtin,
     default_var_names,
+    linear_detect,
     list_builtins,
 )
 
@@ -288,14 +289,20 @@ def test_shared_mode_falls_back_on_multifactor_terms():
 
 
 def test_shared_mode_falls_back_on_overlapping_terms():
-    # max(a, b) reduces to single-factor terms whose firing sets overlap
-    # (both primed literals fire on mixed nonzero rows is not the case
-    # here; the L'0/J2 split does overlap at (2,2)-adjacent rows).
+    # max(a, b) keeps two-factor terms such as L0(a)L1(b), so shared mode
+    # falls back to the collectors.
     fn = TernaryFunction.from_callable("or2", 2, lambda a, b: max(a, b))
     shared = synth(fn, SynthOptions(combine="shared"))
     default = synth(fn)
     assert shared.verified and default.verified
     assert shared.reduced_ancilla == default.reduced_ancilla
+    assert shared.paths == {"or2": "sum-of-products"}
+    # L'0(a) and J2(a) are single factors that both fire at a = 2.
+    overlapping = Expr(
+        (make_term([Proj(ProjFamily.L_PRIME, 0, 0)]), make_term([Proj(ProjFamily.J, 2, 0)])), 1
+    )
+    nl = Netlist(input_names=("a",))
+    assert synth_module._emit_expr_shared(nl, overlapping, ("a",)) is None
 
 
 def _fire_disjoint_pairwise(expr):
@@ -404,3 +411,16 @@ def test_random_tables_verify_in_both_modes_and_round_trip(fn):
         assert rep.verified
         back = Netlist.from_json(rep.netlist.to_json())
         assert exhaustive_check(back, fn).ok
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(_random_tables))
+def test_reduced_non_affine_outputs_have_terms_and_no_constant_factor(fn):
+    # The emitters map only Proj, Fused and Pair factors and need at least
+    # one term: constant outputs (0 included) are affine and never get here.
+    for out in fn.outputs:
+        if linear_detect(out) is not None:
+            continue
+        reduced, _ = simplify(minterm_extract(out))
+        assert reduced.terms
+        assert not any(isinstance(f, Const) for t in reduced.terms for f in t.factors)

@@ -18,6 +18,7 @@ from tritsynth.truthtables import (
     TruthTableFormatError,
     all_inputs,
     builtin,
+    default_var_names,
     first_difference,
     format_truth_table,
     lex_index,
@@ -142,6 +143,12 @@ def test_function_validation():
         TernaryFunction("bad", 2, tuple(TRITS[0] for _ in range(8)))
     with pytest.raises(ValueError, match="arity"):
         TernaryFunction("bad", 0, ())
+    with pytest.raises(ValueError, match="arity must be >= 1, got 0"):
+        all_inputs(0)
+    with pytest.raises(ValueError, match="bad table column for 'f': invalid literal"):
+        TernaryFunction.from_string("f", 1, "01x")
+    with pytest.raises(ValueError, match="bad table column for 'f': trit value"):
+        TernaryFunction.from_string("f", 1, "013")
     fn = TernaryFunction.from_string("f", 1, "012")
     with pytest.raises(ValueError, match="takes 1 inputs"):
         fn.eval((TRITS[0], TRITS[1]))
@@ -187,6 +194,24 @@ def test_multi_output_validation():
         MultiOutputFunction("bad", 1, ("a",), (f1, f1))
     with pytest.raises(ValueError, match="no outputs"):
         MultiOutputFunction("bad", 1, ("a",), ())
+    with pytest.raises(ValueError, match="'bad': 1 variables but 2 names"):
+        MultiOutputFunction("bad", 1, ("a", "b"), (f1,))
+    with pytest.raises(ValueError, match="'bad': variable names must be distinct"):
+        MultiOutputFunction("bad", 2, ("a", "a"), (f2,))
+    with pytest.raises(KeyError, match="function 'mul2' has no output 'zz'"):
+        builtin("mul2").output("zz")
+
+
+def test_multi_output_eval_reads_every_output():
+    fn = builtin("mul2")
+    for row in all_inputs(2):
+        a, b = row
+        assert fn.eval(row) == {"mul2": (a * b) % 3, "mul2c": (a * b) // 3}
+
+
+def test_default_var_names_switch_to_indexed_names_past_z():
+    assert default_var_names(26)[-1] == "z"
+    assert default_var_names(27) == tuple(f"x{i}" for i in range(27))
 
 
 # linear_detect: brute-force oracle over all 27 affine candidates for arity 2.
